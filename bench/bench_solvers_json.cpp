@@ -53,6 +53,7 @@ struct Record {
   // B&B-only fields (absent from the JSON for plain LP solves).
   bool has_tree_stats = false;
   std::size_t nodes = 0;
+  std::size_t pivots = 0;  ///< node-LP simplex pivots of one solve
   double nodes_per_second = 0.0;
   double warm_hit_rate = 0.0;
   // Root-cut and sparse-LU factorisation telemetry.
@@ -88,7 +89,7 @@ void write_json(const std::vector<Record>& records, double srrp_warm_speedup,
     out << "    {\"name\": \"" << r.name << "\", \"median_seconds\": "
         << fmt(r.median_seconds);
     if (r.has_tree_stats) {
-      out << ", \"nodes\": " << r.nodes
+      out << ", \"nodes\": " << r.nodes << ", \"pivots\": " << r.pivots
           << ", \"nodes_per_second\": " << fmt(r.nodes_per_second)
           << ", \"warm_hit_rate\": " << fmt(r.warm_hit_rate)
           << ", \"cuts_added\": " << r.cuts_added
@@ -152,8 +153,15 @@ Record bench_milp(std::string name, Solve&& solve) {
   Record rec;
   rec.name = std::move(name);
   std::size_t nodes = 0, warm = 0, cold = 0;
+  // Always-on counter (RRP_OBSERVABILITY=OFF builds keep it), so the
+  // pivot count is available to check_perf.py's max_pivots caps in
+  // every build flavour.
+  const obs::Counter& lp_iterations =
+      obs::global_registry().counter("rrp.bnb.lp_iterations");
   rec.median_seconds = median_seconds([&] {
+    const std::uint64_t iterations0 = lp_iterations.value();
     const auto r = solve();
+    rec.pivots = static_cast<std::size_t>(lp_iterations.value() - iterations0);
     nodes = r.nodes_explored;
     warm = r.warm_started_nodes;
     cold = r.cold_solved_nodes;
@@ -172,7 +180,8 @@ Record bench_milp(std::string name, Solve&& solve) {
   rec.warm_hit_rate =
       lps > 0 ? static_cast<double>(warm) / static_cast<double>(lps) : 0.0;
   std::cerr << rec.name << ": " << fmt(rec.median_seconds * 1e3) << " ms, "
-            << nodes << " nodes, " << fmt(rec.nodes_per_second)
+            << nodes << " nodes, " << rec.pivots << " pivots, "
+            << fmt(rec.nodes_per_second)
             << " nodes/s, warm " << fmt(100.0 * rec.warm_hit_rate)
             << "%, cuts " << rec.cuts_added << " (gap closed "
             << fmt(100.0 * rec.root_gap_closed) << "%), fill "
@@ -230,6 +239,17 @@ int main() {
                                     core::DrrpFormulation::Aggregated);
           }));
     }
+  }
+
+  // Fig. 10's 24-slot facility-location DRRP: an integral relaxation,
+  // so one cold node whose pivot count is gated (check_perf.py
+  // max_pivots) — a return to a primal first phase multiplies it.
+  {
+    const auto inst = drrp_instance(24);
+    records.push_back(bench_milp("drrp_fl_h24_cold", [&] {
+      return core::solve_drrp(inst, opt_options(false),
+                              core::DrrpFormulation::FacilityLocation);
+    }));
   }
 
   // DRRP aggregated solved to optimality with root (l,S) cuts on vs

@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/invariant.hpp"
 #include "milp/cuts.hpp"
+#include "obs/obs.hpp"
 
 namespace rrp::core {
 
@@ -245,7 +246,10 @@ void verify_plan_balance(const DrrpInstance& inst, const RentalPlan& plan) {
 RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
                                  const milp::BnbOptions& options) {
   DrrpVariables vars;
-  const milp::Model model = build_drrp(inst, &vars);
+  const milp::Model model = [&] {
+    RRP_TRACE_SPAN("core.build_model");
+    return build_drrp(inst, &vars);
+  }();
 
   // The aggregated formulation is single-item lot-sizing, so (l,S)
   // inequalities separated at the root tighten its weak relaxation.
@@ -261,6 +265,7 @@ RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
   }
   const milp::MipResult result = milp::solve(model, opt);
 
+  RRP_TRACE_SPAN("core.extract_plan");
   RentalPlan plan;
   plan.status = result.status;
   plan.nodes_explored = result.nodes_explored;
@@ -290,9 +295,13 @@ RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
 RentalPlan solve_drrp_fl(const DrrpInstance& inst,
                          const milp::BnbOptions& options) {
   DrrpFlVariables vars;
-  const milp::Model model = build_drrp_facility_location(inst, &vars);
+  const milp::Model model = [&] {
+    RRP_TRACE_SPAN("core.build_model");
+    return build_drrp_facility_location(inst, &vars);
+  }();
   const milp::MipResult result = milp::solve(model, options);
 
+  RRP_TRACE_SPAN("core.extract_plan");
   RentalPlan plan;
   plan.status = result.status;
   plan.nodes_explored = result.nodes_explored;

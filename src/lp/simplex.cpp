@@ -31,7 +31,7 @@ obs::Counter& eta_updates_counter() {
 }
 obs::Gauge& fill_ratio_sum_gauge() {
   static obs::Gauge& g =
-      obs::global_registry().gauge("rrp.lp.fill_ratio_sum");
+      obs::global_registry().gauge("rrp.lp.fill_ratio_total");
   return g;
 }
 }  // namespace
@@ -39,8 +39,7 @@ obs::Gauge& fill_ratio_sum_gauge() {
 SimplexSolver::SimplexSolver(const LinearProgram& lp) {
   m_ = lp.num_rows();
   n_ = lp.num_variables();
-  art_begin_ = n_ + m_;
-  total_ = n_ + 2 * m_;
+  total_ = n_ + m_;
   sense_ = lp.sense();
 
   cols_.resize(total_);
@@ -61,10 +60,6 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
     cols_[s].push_back(Entry{r, -1.0});
     lb_[s] = lp.row(r).lo;
     ub_[s] = lp.row(r).hi;
-    // Artificial column: single +/-1 entry whose sign is fixed per cold
-    // start from the residual of the initial nonbasic point.
-    const std::size_t a = art_begin_ + r;
-    cols_[a].push_back(Entry{r, 1.0});
   }
 
   status_.assign(total_, BasisStatus::AtLower);
@@ -130,7 +125,7 @@ void SimplexSolver::refactorize() {
   recompute_basic_values();
 #if RRP_INVARIANTS_ENABLED
   // Cheap structural check on every refactorization; the expensive
-  // Binv*B dcheck runs only at phase boundaries (see check_basis()).
+  // Binv*B dcheck runs only at solve end (see check_basis()).
   verify_basis(m_, total_, basis_);
 #endif
 }
@@ -375,18 +370,24 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
 }
 
 SimplexSolver::DualResult SimplexSolver::run_dual(
-    const std::vector<double>& cost, std::size_t max_iters) {
+    const std::vector<double>& cost, std::size_t max_iters, bool bland) {
   // Bounded-variable dual simplex: pick the basic variable with the
   // largest bound violation, drive it exactly onto the violated bound,
   // and admit the entering column by the dual ratio test (min |d|/|a|),
-  // which preserves dual feasibility of the warm-started basis.  When
-  // no column can move the leaving row toward its bound, row r is a
-  // primal infeasibility certificate independent of the objective.
+  // which preserves dual feasibility of the starting basis.  When no
+  // column can move the leaving row toward its bound, row r is a primal
+  // infeasibility certificate independent of the objective.  Under
+  // Bland's rule (requested, or after stall_limit pivots without dual
+  // progress) both choices take the least variable index instead, which
+  // keeps fully degenerate runs finite.
+  const bool pinned_bland = bland || opt_->pricing == Pricing::Bland;
+  bool use_bland = pinned_bland;
+  std::size_t stall = 0;
   for (std::size_t iter = 0; iter < max_iters; ++iter, ++iterations_) {
     if (opt_->deadline.expired()) return DualResult::TimeLimit;
     RRP_COUNTER_ADD("rrp.lp.pivots.dual", 1);
 
-    // --- Leaving row: most violated basic variable. ---
+    // --- Leaving row: most violated (or least-index) basic variable. ---
     std::size_t r = m_;
     bool below = false;
     double worst = 0.0;
@@ -395,15 +396,14 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       const double tol = opt_->feasibility_tol * (1.0 + std::fabs(xb_[i]));
       const double under = lb_[bi] - xb_[i];
       const double over = xb_[i] - ub_[bi];
-      if (under > tol && under > worst) {
-        worst = under;
+      const double viol = std::max(under, over);
+      if (!(viol > tol)) continue;  // feasible (a NaN never leaves)
+      const bool better =
+          use_bland ? r == m_ || bi < basis_[r] : viol > worst;
+      if (better) {
+        worst = viol;
         r = i;
-        below = true;
-      }
-      if (over > tol && over > worst) {
-        worst = over;
-        r = i;
-        below = false;
+        below = under > over;
       }
     }
     if (r == m_) return DualResult::Feasible;
@@ -425,7 +425,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
     for (std::size_t j = 0; j < total_; ++j) {
       if (status_[j] == BasisStatus::Basic) continue;
       if (lb_[j] == ub_[j])  // rrp-lint: allow(float-equality)
-        continue;  // fixed (includes pinned artificials)
+        continue;  // fixed: can never move
       double alpha = 0.0;
       for (const Entry& e : cols_[j]) alpha += rho_[e.col] * e.coeff;
       if (std::fabs(alpha) <= kPivotTol) continue;
@@ -443,8 +443,10 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       if (sigma * alpha * static_cast<double>(dir) >= 0.0) continue;
       const double d = reduced_cost(j, cost);
       const double ratio = std::fabs(d) / std::fabs(alpha);
+      // Near-ties keep the larger pivot element for stability, or the
+      // least index (the first one seen) under Bland's rule.
       if (ratio < best_ratio - 1e-12 ||
-          (ratio < best_ratio + 1e-12 &&
+          (!use_bland && ratio < best_ratio + 1e-12 &&
            std::fabs(alpha) > std::fabs(enter_alpha))) {
         best_ratio = ratio;
         enter = j;
@@ -484,70 +486,46 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
     if (++pivots_since_refactor_ >= opt_->refactor_every ||
         lu_.eta_nonzeros() > eta_nnz_cap_)
       refactorize();
-  }
-  return DualResult::Stalled;
-}
 
-void SimplexSolver::pivot_out_artificials() {
-  for (std::size_t pos = 0; pos < m_; ++pos) {
-    if (basis_[pos] < art_begin_) continue;
-    // Find a non-artificial, non-basic column with a usable pivot element
-    // in this basis row and swap it in (a degenerate pivot: the primal
-    // point is unchanged because the artificial sits at zero).  Row `pos`
-    // of the basis inverse is the BTRAN of the pos-th unit vector.
-    std::fill(rho_.begin(), rho_.end(), 0.0);
-    rho_[pos] = 1.0;
-    lu_.btran(rho_);
-    for (std::size_t j = 0; j < art_begin_; ++j) {
-      if (status_[j] == BasisStatus::Basic) continue;
-      double wpos = 0.0;
-      for (const Entry& e : cols_[j]) wpos += rho_[e.col] * e.coeff;
-      if (std::fabs(wpos) < 1e-7) continue;
-      const std::size_t art = basis_[pos];
-      status_[art] = BasisStatus::AtLower;
-      value_[art] = 0.0;
-      basis_[pos] = j;
-      status_[j] = BasisStatus::Basic;
-      refactorize();
-      break;
+    // --- Stall detection -> Bland fallback.  The dual objective rises
+    // by best_ratio times the leaving row's violation, so a zero ratio
+    // is a dual-degenerate pivot. ---
+    if (best_ratio > 1e-12) {
+      stall = 0;
+      use_bland = pinned_bland;
+    } else if (++stall >= opt_->stall_limit) {
+      use_bland = true;
     }
   }
-  // Whatever artificials remain basic correspond to redundant rows; pin
-  // every artificial to zero so phase 2 cannot move them.
-  for (std::size_t r = 0; r < m_; ++r) {
-    ub_[art_begin_ + r] = 0.0;
-  }
-  recompute_basic_values();
+  return DualResult::IterationLimit;
 }
 
-const std::vector<double>& SimplexSolver::phase2_cost() {
+const std::vector<double>& SimplexSolver::model_cost() {
   const double sense = sense_ == Sense::Maximize ? -1.0 : 1.0;
   std::fill(cost_.begin(), cost_.end(), 0.0);
   for (std::size_t j = 0; j < n_; ++j) cost_[j] = sense * obj_[j];
   return cost_;
 }
 
-Solution SimplexSolver::finish_phase2() {
+Solution SimplexSolver::stopped(SolveStatus status) const {
   Solution sol;
-  const std::vector<double>& cost = phase2_cost();
-  PhaseResult p2 = run_phase(cost, opt_->max_iterations);
-  if (p2 == PhaseResult::IterationLimit || p2 == PhaseResult::TimeLimit) {
-    sol.status = p2 == PhaseResult::TimeLimit ? SolveStatus::TimeLimit
-                                              : SolveStatus::IterationLimit;
-    sol.iterations = iterations_;
-    return sol;
-  }
-  if (p2 == PhaseResult::Unbounded) {
-    sol.status = SolveStatus::Unbounded;
-    sol.iterations = iterations_;
-    return sol;
-  }
+  sol.status = status;
+  sol.iterations = iterations_;
+  return sol;
+}
+
+Solution SimplexSolver::finish_primal() {
+  const std::vector<double>& cost = model_cost();
+  const PhaseResult pr = run_phase(cost, opt_->max_iterations);
+  if (pr == PhaseResult::IterationLimit)
+    return stopped(SolveStatus::IterationLimit);
+  if (pr == PhaseResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
+  if (pr == PhaseResult::Unbounded) return stopped(SolveStatus::Unbounded);
 
   refactorize();
   check_basis();
   check_optimality(cost);
-  sol.status = SolveStatus::Optimal;
-  sol.iterations = iterations_;
+  Solution sol = stopped(SolveStatus::Optimal);
   sol.x.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
     if (status_[j] != BasisStatus::Basic) sol.x[j] = value_[j];
@@ -568,92 +546,75 @@ Solution SimplexSolver::finish_phase2() {
 Solution SimplexSolver::cold_solve() {
   RRP_TRACE_SPAN("lp.cold_solve");
   RRP_TRACE_ARG("rows", m_);
-  // Initial nonbasic point: every structural/slack at its finite bound
-  // nearest zero (0 for free variables).
-  for (std::size_t j = 0; j < art_begin_; ++j) {
+  // Slack basis (B = -I, so the duals are zero and every reduced cost is
+  // the column's cost).  Each structural sits at the bound its cost
+  // favours, which makes the start dual feasible unless some cost pulls
+  // towards an infinite bound; columns without such a bound rest at
+  // their finite bound nearest zero (0 when free).
+  const std::vector<double>& cost = model_cost();
+  bool dual_feasible = true;
+  for (std::size_t j = 0; j < n_; ++j) {
     const bool lo_finite = lb_[j] > -kInfinity;
     const bool hi_finite = ub_[j] < kInfinity;
-    if (lo_finite && hi_finite) {
-      if (std::fabs(lb_[j]) <= std::fabs(ub_[j])) {
-        status_[j] = BasisStatus::AtLower;
-        value_[j] = lb_[j];
-      } else {
-        status_[j] = BasisStatus::AtUpper;
-        value_[j] = ub_[j];
-      }
-    } else if (lo_finite) {
-      status_[j] = BasisStatus::AtLower;
-      value_[j] = lb_[j];
-    } else if (hi_finite) {
-      status_[j] = BasisStatus::AtUpper;
-      value_[j] = ub_[j];
+    BasisStatus s = BasisStatus::FreeAtZero;
+    if (cost[j] > 0.0 && lo_finite) {
+      s = BasisStatus::AtLower;
+    } else if (cost[j] < 0.0 && hi_finite) {
+      s = BasisStatus::AtUpper;
     } else {
-      status_[j] = BasisStatus::FreeAtZero;
-      value_[j] = 0.0;
+      if (cost[j] != 0.0) dual_feasible = false;
+      if (lo_finite && (!hi_finite || std::fabs(lb_[j]) <= std::fabs(ub_[j])))
+        s = BasisStatus::AtLower;
+      else if (hi_finite)
+        s = BasisStatus::AtUpper;
     }
-  }
-
-  // Residual of Ax = 0 at the initial point determines artificial signs.
-  std::fill(rhs_.begin(), rhs_.end(), 0.0);
-  for (std::size_t j = 0; j < art_begin_; ++j) {
-    if (value_[j] == 0.0) continue;
-    for (const Entry& e : cols_[j]) rhs_[e.col] -= e.coeff * value_[j];
+    status_[j] = s;
+    value_[j] = s == BasisStatus::AtLower   ? lb_[j]
+                : s == BasisStatus::AtUpper ? ub_[j]
+                                            : 0.0;
   }
   for (std::size_t r = 0; r < m_; ++r) {
-    const double sign = rhs_[r] >= 0.0 ? 1.0 : -1.0;
-    const std::size_t a = art_begin_ + r;
-    cols_[a][0].coeff = sign;
-    lb_[a] = 0.0;
-    ub_[a] = kInfinity;
-    basis_[r] = a;
-    status_[a] = BasisStatus::Basic;
-    value_[a] = 0.0;
+    basis_[r] = n_ + r;
+    status_[n_ + r] = BasisStatus::Basic;
+    value_[n_ + r] = 0.0;
   }
-  refactorize();  // diagonal basis; also recomputes xb_ = |rhs_|
+  refactorize();  // also recomputes xb_ = the row activities
 
-  Solution sol;
-  // Phase 1: minimise the artificial mass.
-  std::fill(cost_.begin(), cost_.end(), 0.0);
-  for (std::size_t r = 0; r < m_; ++r) cost_[r + art_begin_] = 1.0;
-  const std::vector<double> phase1_cost = cost_;
-  PhaseResult p1 = run_phase(phase1_cost, opt_->max_iterations);
-  if (p1 == PhaseResult::IterationLimit || p1 == PhaseResult::TimeLimit) {
-    sol.status = p1 == PhaseResult::TimeLimit ? SolveStatus::TimeLimit
-                                              : SolveStatus::IterationLimit;
-    sol.iterations = iterations_;
-    return sol;
+  // The dual simplex restores primal feasibility.  A start that is not
+  // dual feasible runs it on the zero objective instead (every basis is
+  // dual feasible there), under Bland's rule since every pivot is dual
+  // degenerate; the primal loop in finish_primal then optimises from the
+  // feasible vertex it reaches.
+  DualResult dres = DualResult::Feasible;
+  if (dual_feasible) {
+    dres = run_dual(cost, opt_->max_iterations, false);
+  } else {
+    const std::vector<double> zero(total_, 0.0);
+    dres = run_dual(zero, opt_->max_iterations, true);
   }
-  refactorize();
-  check_basis();
-  const double infeasibility = current_objective(phase1_cost);
-  if (infeasibility > 1e-6) {
-    sol.status = SolveStatus::Infeasible;
-    sol.iterations = iterations_;
-    return sol;
-  }
-  pivot_out_artificials();
-
-  // Phase 2: the model objective (negated internally for Maximize).
-  return finish_phase2();
+  if (dres == DualResult::Infeasible) return stopped(SolveStatus::Infeasible);
+  if (dres == DualResult::IterationLimit)
+    return stopped(SolveStatus::IterationLimit);
+  if (dres == DualResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
+  return finish_primal();
 }
 
 bool SimplexSolver::install_basis(const Basis& start) {
-  if (start.basic.size() != m_ || start.status.size() != art_begin_)
-    return false;
-  // Structural consistency: basic entries distinct, in the structural +
-  // slack range, and agreeing with the status vector.
-  std::vector<char> seen(art_begin_, 0);
+  if (start.basic.size() != m_ || start.status.size() != total_) return false;
+  // Structural consistency: basic entries distinct, in range, and
+  // agreeing with the status vector.
+  std::vector<char> seen(total_, 0);
   for (std::size_t pos = 0; pos < m_; ++pos) {
     const std::size_t j = start.basic[pos];
-    if (j >= art_begin_ || seen[j] != 0) return false;
+    if (j >= total_ || seen[j] != 0) return false;
     if (start.status[j] != BasisStatus::Basic) return false;
     seen[j] = 1;
   }
-  for (std::size_t j = 0; j < art_begin_; ++j) {
+  for (std::size_t j = 0; j < total_; ++j) {
     if (start.status[j] == BasisStatus::Basic && seen[j] == 0) return false;
   }
 
-  for (std::size_t j = 0; j < art_begin_; ++j) {
+  for (std::size_t j = 0; j < total_; ++j) {
     BasisStatus s = start.status[j];
     // Re-anchor nonbasic variables whose preferred bound is (or became)
     // infinite; bounds may have moved since the basis was exported.
@@ -670,14 +631,6 @@ bool SimplexSolver::install_basis(const Basis& start) {
       case BasisStatus::AtUpper: value_[j] = ub_[j]; break;
       default: value_[j] = 0.0; break;
     }
-  }
-  // Artificials stay pinned out of the warm-started problem.
-  for (std::size_t r = 0; r < m_; ++r) {
-    const std::size_t a = art_begin_ + r;
-    status_[a] = BasisStatus::AtLower;
-    value_[a] = 0.0;
-    lb_[a] = 0.0;
-    ub_[a] = 0.0;
   }
   std::copy(start.basic.begin(), start.basic.end(), basis_.begin());
   try {
@@ -729,11 +682,7 @@ Solution SimplexSolver::solve(const SimplexOptions& options) {
       options.fault_injector->consume_lp_fault()) {
     throw NumericalError("simplex: injected numerical failure");
   }
-  if (options.deadline.expired()) {
-    Solution sol;
-    sol.status = SolveStatus::TimeLimit;
-    return sol;
-  }
+  if (options.deadline.expired()) return stopped(SolveStatus::TimeLimit);
   if (m_ == 0) return solve_bound_only();
   opt_ = &options;
   return cold_solve();
@@ -748,11 +697,7 @@ Solution SimplexSolver::solve_from(const Basis& start,
       options.fault_injector->consume_lp_fault()) {
     throw NumericalError("simplex: injected numerical failure");
   }
-  if (options.deadline.expired()) {
-    Solution sol;
-    sol.status = SolveStatus::TimeLimit;
-    return sol;
-  }
+  if (options.deadline.expired()) return stopped(SolveStatus::TimeLimit);
   if (m_ == 0) return solve_bound_only();
   opt_ = &options;
   if (start.empty() || !install_basis(start)) return cold_solve();
@@ -760,26 +705,17 @@ Solution SimplexSolver::solve_from(const Basis& start,
   RRP_TRACE_SPAN("lp.warm_solve");
   RRP_TRACE_ARG("rows", m_);
   // Re-optimise: dual simplex restores primal feasibility (bound changes
-  // leave the parent basis dual feasible), then primal phase 2 cleans up
-  // any residual dual infeasibility.  Numerical trouble on the warm path
-  // is never fatal — fall back to the cold two-phase solve instead.
+  // leave the parent basis dual feasible), then the primal loop cleans
+  // up any residual dual infeasibility (objective edits).  Numerical
+  // trouble on the warm path is never fatal — fall back to a cold solve.
   try {
-    const DualResult dres = run_dual(phase2_cost(), opt_->max_iterations);
-    if (dres == DualResult::TimeLimit) {
-      Solution sol;
-      sol.status = SolveStatus::TimeLimit;
-      sol.iterations = iterations_;
-      return sol;
-    }
-    if (dres == DualResult::Infeasible) {
-      Solution sol;
-      sol.status = SolveStatus::Infeasible;
-      sol.iterations = iterations_;
-      last_warm_ = true;
-      return sol;
-    }
-    if (dres == DualResult::Stalled) return cold_solve();
-    Solution sol = finish_phase2();
+    const DualResult dres = run_dual(model_cost(), opt_->max_iterations,
+                                     false);
+    if (dres == DualResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
+    if (dres == DualResult::IterationLimit) return cold_solve();
+    Solution sol = dres == DualResult::Infeasible
+                       ? stopped(SolveStatus::Infeasible)
+                       : finish_primal();
     last_warm_ = true;
     return sol;
   } catch (const NumericalError&) {
@@ -790,11 +726,8 @@ Solution SimplexSolver::solve_from(const Basis& start,
 Basis SimplexSolver::basis() const {
   Basis b;
   if (!last_optimal_) return b;
-  for (std::size_t i = 0; i < m_; ++i)
-    if (basis_[i] >= art_begin_) return b;  // redundant row: not exportable
   b.basic = basis_;
-  b.status.assign(status_.begin(),
-                  status_.begin() + static_cast<std::ptrdiff_t>(art_begin_));
+  b.status = status_;
   return b;
 }
 

@@ -1,16 +1,22 @@
-// Bounded-variable revised primal simplex.
+// Bounded-variable revised simplex, dual first.
 //
 // Internals: every ranged row `lo <= a'x <= hi` gets a slack variable
 // bounded by [lo, hi] so the system becomes Ax = 0 with box-constrained
-// variables; feasibility is established by a phase-1 minimisation of
-// artificial variables, after which the original objective is optimised
-// (phase 2).  The basis is held as a sparse LU factorisation
+// variables.  A cold solve starts from the all-slack basis with every
+// structural at the bound its cost favours; when that start is dual
+// feasible (any minimisation of nonnegative costs over x >= 0, such as
+// DRRP and SRRP) the dual simplex runs straight to the optimum.
+// Otherwise a feasibility pass runs the dual simplex on the zero
+// objective from the same basis, and the primal simplex optimises from
+// the feasible vertex it reaches.  Either way a primal loop closes the
+// solve; after a dual-feasible start it is a single pricing pass that
+// confirms optimality.  The basis is held as a sparse LU factorisation
 // (lp::SparseLu) with product-form eta updates per pivot; FTRAN/BTRAN
 // are sparse triangular solves, and refactorisation is triggered by
 // eta-file fill-in and a dual-pivot accuracy check in addition to the
-// SimplexOptions::refactor_every pivot cap.  Dantzig pricing switches
-// to Bland's rule during stalls to guarantee finiteness under
-// degeneracy.
+// SimplexOptions::refactor_every pivot cap.  Both loops switch to
+// Bland's least-index rule during stalls (or throughout under
+// Pricing::Bland) to guarantee finiteness under degeneracy.
 //
 // Two entry points share that engine:
 //
@@ -25,10 +31,11 @@
 //     feasible, so re-optimisation runs the dual simplex until primal
 //     feasibility is restored and finishes with (usually zero) primal
 //     pivots — the warm-start path under rrp::milp's branch & bound.
-//     Any structural or numerical trouble with the starting basis
-//     (wrong shape, singular factorisation, stalling) silently falls
-//     back to a cold two-phase solve, so `solve_from` is never less
-//     robust than `solve`.
+//     Primal pivots do real work there only after `set_objective` edits
+//     that break dual feasibility.  Any structural or numerical trouble
+//     with the starting basis (wrong shape, singular factorisation,
+//     running out of iterations) silently falls back to a cold solve,
+//     so `solve_from` is never less robust than `solve`.
 //
 // This is the LP engine under rrp::milp's branch & bound, which in turn
 // solves the paper's DRRP and SRRP mixed-integer programs.
@@ -83,11 +90,11 @@ enum class BasisStatus : unsigned char {
   FreeAtZero,  ///< free variable resting at zero
 };
 
-/// A snapshot of a simplex basis over the structural + slack columns
-/// (artificials are never part of an exportable basis).  Produced by
-/// SimplexSolver::basis() after an optimal solve and consumed by
-/// SimplexSolver::solve_from() to warm start a re-optimisation; a
-/// default-constructed (empty) basis means "no warm start available".
+/// A snapshot of a simplex basis over the structural + slack columns.
+/// Produced by SimplexSolver::basis() after an optimal solve and
+/// consumed by SimplexSolver::solve_from() to warm start a
+/// re-optimisation; a default-constructed (empty) basis means "no warm
+/// start available".
 struct Basis {
   std::vector<std::size_t> basic;   ///< basic variable index per row
   std::vector<BasisStatus> status;  ///< one per structural + slack column
@@ -102,8 +109,8 @@ Solution solve(const LinearProgram& lp, const SimplexOptions& options = {});
 
 /// Verifies that `basis` is a structurally consistent simplex basis for
 /// a system with `num_rows` rows and `num_columns` columns (structural +
-/// slack + artificial): exactly one entry per row, every index in range,
-/// no variable basic in two positions.  Throws rrp::ContractViolation on
+/// slack): exactly one entry per row, every index in range, no
+/// variable basic in two positions.  Throws rrp::ContractViolation on
 /// the first inconsistency.  Used by the solver's internal invariant
 /// checks (RRP_CHECK_INVARIANTS builds) and exposed so tests can feed it
 /// a deliberately corrupted basis.
@@ -164,25 +171,27 @@ class SimplexSolver {
   void set_objective(std::size_t j, double coeff);
   double objective_coefficient(std::size_t j) const { return obj_[j]; }
 
-  /// Cold solve: two-phase simplex from scratch, identical in behaviour
-  /// to the free solve() function.
+  /// Cold solve from the all-slack basis, identical in behaviour to the
+  /// free solve() function: the dual simplex when that start is dual
+  /// feasible, else a zero-objective dual feasibility pass followed by
+  /// primal pivots (see the file comment).
   Solution solve(const SimplexOptions& options = {});
 
   /// Re-optimises from `start` (typically the parent B&B node's optimal
   /// basis).  Restores primal feasibility with the dual simplex, then
-  /// finishes with primal phase-2 pivots.  Falls back to a cold solve
-  /// when the start basis is empty, structurally unusable, singular, or
-  /// the re-optimisation stalls; last_solve_was_warm() reports which
-  /// path produced the returned solution.
+  /// runs the primal loop, which pivots only when an objective edit left
+  /// the start dual infeasible.  Falls back to a cold solve when the
+  /// start basis is empty, structurally unusable, singular, or the
+  /// re-optimisation runs out of iterations; last_solve_was_warm()
+  /// reports which path produced the returned solution.
   Solution solve_from(const Basis& start, const SimplexOptions& options = {});
 
   /// Basis of the most recent Optimal solve, or an empty basis when the
-  /// last solve did not finish Optimal or ended with an artificial
-  /// still basic (redundant rows — not worth warm starting from).
+  /// last solve did not finish Optimal.
   Basis basis() const;
 
-  /// True when the last solve() / solve_from() answered via the
-  /// warm-start path (no phase 1); false for cold solves and fallbacks.
+  /// True when the last solve() / solve_from() answered from the
+  /// caller's start basis; false for cold solves and fallbacks.
   bool last_solve_was_warm() const { return last_warm_; }
 
   /// Cumulative factorisation telemetry since construction.
@@ -190,17 +199,19 @@ class SimplexSolver {
 
  private:
   enum class PhaseResult { Optimal, Unbounded, IterationLimit, TimeLimit };
-  enum class DualResult { Feasible, Infeasible, Stalled, TimeLimit };
+  enum class DualResult { Feasible, Infeasible, IterationLimit, TimeLimit };
 
   Solution solve_bound_only() const;  ///< closed form for m_ == 0
   Solution cold_solve();
   bool install_basis(const Basis& start);
-  DualResult run_dual(const std::vector<double>& cost, std::size_t max_iters);
+  /// `bland` pins the least-index rule for the whole run.
+  DualResult run_dual(const std::vector<double>& cost, std::size_t max_iters,
+                      bool bland);
   PhaseResult run_phase(const std::vector<double>& cost,
                         std::size_t max_iters);
-  Solution finish_phase2();
-  const std::vector<double>& phase2_cost();
-  void pivot_out_artificials();
+  Solution finish_primal();
+  Solution stopped(SolveStatus status) const;  ///< status + iterations only
+  const std::vector<double>& model_cost();
   void refactorize();
   void recompute_basic_values();
   void compute_duals(const std::vector<double>& cost) const;  ///< into y_
@@ -213,8 +224,7 @@ class SimplexSolver {
   // Problem data (bounds/objective mutable via setters).
   std::size_t m_ = 0;      ///< rows
   std::size_t n_ = 0;      ///< structural variables
-  std::size_t total_ = 0;  ///< structural + slack + artificial
-  std::size_t art_begin_ = 0;
+  std::size_t total_ = 0;  ///< structural + slack
   Sense sense_ = Sense::Minimize;
   std::vector<std::vector<Entry>> cols_;  ///< column-sparse A (row indices)
   std::vector<double> lb_, ub_;
@@ -241,7 +251,7 @@ class SimplexSolver {
   mutable std::vector<double> y_;  ///< duals
   std::vector<double> rho_;        ///< btran of a unit vector (dual row)
   std::vector<double> rhs_;
-  std::vector<double> cost_;       ///< phase-2 cost cache
+  std::vector<double> cost_;       ///< model cost cache (min sense)
 };
 
 }  // namespace rrp::lp

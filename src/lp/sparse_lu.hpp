@@ -3,7 +3,7 @@
 // The basis matrix B of the revised simplex over the DRRP/SRRP
 // deterministic equivalents is a staircase: balance rows couple each
 // slot (or tree vertex) only to its parent, forcing rows are near
-// diagonal, and slack/artificial columns are singletons.  A dense
+// diagonal, and slack columns are singletons.  A dense
 // m x m inverse throws that structure away — every FTRAN/BTRAN and
 // every eta update costs O(m^2), and each refactorisation O(m^3).
 // This class keeps B = P^T L U Q^T with sparse column-stored L and U:

@@ -49,7 +49,7 @@ struct SolveCounters {
   obs::Counter& eta_updates =
       obs::global_registry().counter("rrp.lp.eta_updates");
   obs::Gauge& fill_ratio_sum =
-      obs::global_registry().gauge("rrp.lp.fill_ratio_sum");
+      obs::global_registry().gauge("rrp.lp.fill_ratio_total");
 };
 
 SolveCounters& solve_counters() {

@@ -64,8 +64,8 @@ struct BnbOptions {
   std::size_t max_nodes = 200000;
   bool rounding_heuristic = true;
   /// Warm start node LPs from the parent node's optimal basis (dual
-  /// simplex re-optimisation).  Off = every node pays a cold two-phase
-  /// solve; kept as a switch so benchmarks and tests can compare.
+  /// simplex re-optimisation).  Off = every node pays a cold solve from
+  /// the slack basis; kept as a switch so benchmarks and tests can compare.
   bool warm_start = true;
   /// Worker threads for the tree search.  1 (default) runs inline on
   /// the calling thread; 0 means hardware concurrency; N > 1 fans the
@@ -101,7 +101,7 @@ struct MipResult {
   /// (Bland pricing, forced refactorisation, or cost perturbation).
   std::size_t lp_failures_recovered = 0;
   /// Node relaxations re-optimised from the parent basis vs. solved by
-  /// the cold two-phase simplex (root nodes, failed warm starts, and
+  /// a cold solve from the slack basis (root nodes, failed warm starts, and
   /// all nodes when BnbOptions::warm_start is off).
   std::size_t warm_started_nodes = 0;
   std::size_t cold_solved_nodes = 0;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "obs/obs.hpp"
+
 namespace rrp::milp {
 
 Var Model::add_continuous(double lo, double hi, std::string name) {
@@ -54,6 +56,7 @@ bool Model::is_integral(std::size_t id) const {
 }
 
 lp::LinearProgram Model::to_lp() const {
+  RRP_TRACE_SPAN("milp.to_lp");
   lp::LinearProgram prog;
   prog.set_sense(sense_ == Objective::Minimize ? lp::Sense::Minimize
                                                : lp::Sense::Maximize);

@@ -4,11 +4,15 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <sstream>
+#include <string>
 
 #include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -333,6 +337,53 @@ TEST(BranchAndBound, RecoveryLadderRetriesInjectedLpFailures) {
     EXPECT_GE(r.lp_failures_recovered, 1u);
     EXPECT_EQ(inj.armed_lp_failures(), 0u);
   }
+}
+
+TEST(BranchAndBound, BlandRecoveryRungRunsTheDualPath) {
+  // One node, no root cuts, and a slack start that is dual feasible but
+  // violates the row: failing the first attempt puts the node on rung 1,
+  // whose cold Bland solve is the dual simplex plus a single primal
+  // pricing pass that confirms the optimum.
+  Model m;
+  const Var x = m.add_continuous(0.0, 4.0);
+  const Var y = m.add_continuous(0.0, 4.0);
+  m.set_objective(LinExpr(x) + LinExpr(y), Objective::Maximize);
+  m.add_constraint(LinExpr(x) + 2.0 * LinExpr(y) <= 6.0);
+  rrp::testing::FaultInjector inj;
+  inj.arm_lp_failures(1);
+  BnbOptions opt;
+  opt.lp.fault_injector = &inj;
+  auto& registry = rrp::obs::global_registry();
+  const std::uint64_t primal0 = registry.counter("rrp.lp.pivots.primal").value();
+  const std::uint64_t dual0 = registry.counter("rrp.lp.pivots.dual").value();
+  const MipResult r = solve(m, opt);
+  ASSERT_EQ(r.status, MipStatus::Optimal);
+  EXPECT_NEAR(r.objective, 5.0, 1e-9);
+  EXPECT_EQ(r.lp_failures_recovered, 1u);
+  EXPECT_EQ(r.cold_solved_nodes, 1u);
+  EXPECT_EQ(inj.armed_lp_failures(), 0u);
+#if RRP_OBSERVABILITY_ENABLED
+  EXPECT_GT(registry.counter("rrp.lp.pivots.dual").value(), dual0);
+  EXPECT_EQ(registry.counter("rrp.lp.pivots.primal").value() - primal0, 1u);
+#else
+  (void)primal0;
+  (void)dual0;
+#endif
+}
+
+TEST(BranchAndBound, MetricsScrapeAfterSolveHasUniqueNames) {
+  // A text scrape prints one `name value` line per series; a gauge named
+  // like a histogram's `_sum` line would print the same name twice.
+  ASSERT_EQ(solve(big_knapsack(85, 12)).status, MipStatus::Optimal);
+  const std::string text = rrp::obs::global_registry().scrape().to_text();
+  std::istringstream lines(text);
+  std::set<std::string> names;
+  for (std::string line; std::getline(lines, line);) {
+    const std::string name = line.substr(0, line.rfind(' '));
+    EXPECT_TRUE(names.insert(name).second) << "duplicate series " << name;
+  }
+  EXPECT_EQ(names.count("rrp.lp.fill_ratio_total"), 1u);
+  EXPECT_EQ(names.count("rrp.bnb.nodes"), 1u);
 }
 
 TEST(BranchAndBound, RecoveryLadderExhaustionEscalates) {

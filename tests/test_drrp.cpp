@@ -8,6 +8,10 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/demand.hpp"
+#include "core/wagner_whitin.hpp"
+#include "lp/simplex.hpp"
+#include "lp_certificate.hpp"
+#include "obs/obs.hpp"
 
 namespace {
 
@@ -225,6 +229,43 @@ TEST(Drrp, EvaluateScheduleRejectsForcingViolation) {
   std::vector<double> alpha = {1.0, 0.1};
   std::vector<char> chi = {1, 0};  // generates without renting
   EXPECT_THROW(evaluate_schedule(inst, alpha, chi), rrp::ContractViolation);
+}
+
+TEST(DrrpColdPath, FacilityLocationRelaxationIsOneDualSolve) {
+  // The Fig. 10 shape at 16 slots.  Nonnegative costs make the slack
+  // start dual feasible, so the cold solve is the dual simplex alone
+  // plus one primal pricing pass that confirms the optimum; a return to
+  // a primal first phase would show up here as extra primal passes.
+  rrp::Rng rng(16);
+  const std::size_t T = 16;
+  DrrpInstance inst;
+  inst.demand = generate_demand(T, DemandConfig{}, rng);
+  inst.compute_price.assign(T, 0.4);
+  DrrpFlVariables vars;
+  const rrp::lp::LinearProgram lp =
+      build_drrp_facility_location(inst, &vars).to_lp();
+
+  auto& registry = rrp::obs::global_registry();
+  const std::uint64_t primal0 = registry.counter("rrp.lp.pivots.primal").value();
+  const std::uint64_t cold0 = registry.counter("rrp.bnb.cold_nodes").value();
+  rrp::lp::SimplexSolver solver(lp);
+  const rrp::lp::Solution sol = solver.solve();
+  EXPECT_FALSE(solver.last_solve_was_warm());
+  EXPECT_TRUE(rrp::lp_test::certified_optimum(lp, sol));
+#if RRP_OBSERVABILITY_ENABLED
+  EXPECT_EQ(registry.counter("rrp.lp.pivots.primal").value() - primal0, 1u);
+#else
+  (void)primal0;
+#endif
+
+  // The MILP on top: the relaxation is integral, so one cold node.
+  const RentalPlan plan = solve_drrp(inst);
+  ASSERT_EQ(plan.status, rrp::milp::MipStatus::Optimal);
+  EXPECT_EQ(plan.nodes_explored, 1u);
+  EXPECT_EQ(plan.cold_solved_nodes, 1u);
+  EXPECT_EQ(registry.counter("rrp.bnb.cold_nodes").value() - cold0, 1u);
+  EXPECT_NEAR(plan.cost.total(), solve_drrp_wagner_whitin(inst).cost.total(),
+              1e-6 * plan.cost.total());
 }
 
 }  // namespace

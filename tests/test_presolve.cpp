@@ -7,10 +7,23 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "lp/simplex.hpp"
+#include "lp_certificate.hpp"
 
 namespace {
 
 using namespace rrp::lp;
+using rrp::lp_test::certified_optimum;
+
+// The equivalence suites certify both sides of the comparison: the
+// direct solve against the original program, and the solve of the
+// reduced program against that program (presolve_and_solve lifts only
+// the primal point, so the certificate is checked before the lift).
+void expect_both_certified(const LinearProgram& lp, const Solution& direct) {
+  EXPECT_TRUE(certified_optimum(lp, direct));
+  const PresolvedLp pre = presolve(lp);
+  ASSERT_FALSE(pre.infeasible);
+  EXPECT_TRUE(certified_optimum(pre.reduced, solve(pre.reduced)));
+}
 
 TEST(Presolve, SingletonRowBecomesBound) {
   LinearProgram lp;
@@ -267,6 +280,7 @@ TEST_P(PresolveEquivalence, SolveMatchesDirectSolve) {
     EXPECT_NEAR(direct.objective, via_presolve.objective,
                 1e-6 * (1.0 + std::fabs(direct.objective)));
     EXPECT_LT(lp.max_violation(via_presolve.x), 1e-6);
+    expect_both_certified(lp, direct);
   }
 }
 
@@ -313,6 +327,7 @@ TEST_P(PresolveSparseEquivalence, SolveMatchesDirectSolve) {
     EXPECT_NEAR(direct.objective, via_presolve.objective,
                 1e-6 * (1.0 + std::fabs(direct.objective)));
     EXPECT_LT(lp.max_violation(via_presolve.x), 1e-6);
+    expect_both_certified(lp, direct);
   }
 }
 

@@ -7,10 +7,12 @@
 #include "common/deadline.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
+#include "lp_certificate.hpp"
 
 namespace {
 
 using namespace rrp::lp;
+using rrp::lp_test::certified_optimum;
 
 // Multi-pivot LP used by the deadline tests (needs several iterations).
 LinearProgram dense_lp() {
@@ -207,7 +209,7 @@ TEST(Simplex, TinyEqualityOnlySystem) {
   EXPECT_NEAR(sol.x[x], 3.0, 1e-9);
 }
 
-TEST(Simplex, RedundantRowsDoNotBreakPhase1) {
+TEST(Simplex, RedundantRowsDoNotBreakColdSolve) {
   LinearProgram lp;
   const auto x = lp.add_variable(0.0, kInfinity, 1.0);
   const auto y = lp.add_variable(0.0, kInfinity, 1.0);
@@ -216,6 +218,165 @@ TEST(Simplex, RedundantRowsDoNotBreakPhase1) {
   const Solution sol = solve(lp);
   ASSERT_EQ(sol.status, SolveStatus::Optimal);
   EXPECT_NEAR(sol.objective, 4.0, 1e-8);
+}
+
+// --- Cold path --------------------------------------------------------
+// A cold solve starts from the slack basis.  The cases below cover the
+// starts that are not dual feasible (a cost pulling towards an infinite
+// bound), which take the zero-objective feasibility pass before the
+// primal loop, and the infeasibility proof of the dual simplex.  Every
+// optimum is checked against its program by the certificate.
+
+TEST(SimplexCold, BealesExampleIsCertified) {
+  // Costs -0.75 and -0.02 on columns without an upper bound: the slack
+  // start is not dual feasible, and the primal loop must not cycle.
+  LinearProgram lp;
+  const auto x1 = lp.add_variable(0.0, kInfinity, -0.75);
+  const auto x2 = lp.add_variable(0.0, kInfinity, 150.0);
+  const auto x3 = lp.add_variable(0.0, kInfinity, -0.02);
+  const auto x4 = lp.add_variable(0.0, kInfinity, 6.0);
+  lp.add_row({{x1, 0.25}, {x2, -60.0}, {x3, -0.04}, {x4, 9.0}}, -kInfinity,
+             0.0);
+  lp.add_row({{x1, 0.5}, {x2, -90.0}, {x3, -0.02}, {x4, 3.0}}, -kInfinity,
+             0.0);
+  lp.add_row({{x3, 1.0}}, -kInfinity, 1.0);
+  for (const Pricing pricing : {Pricing::Dantzig, Pricing::Bland}) {
+    SimplexOptions opt;
+    opt.pricing = pricing;
+    const Solution sol = solve(lp, opt);
+    EXPECT_TRUE(certified_optimum(lp, sol));
+    EXPECT_NEAR(sol.objective, -0.05, 1e-8);
+  }
+}
+
+TEST(SimplexCold, MaximisationWithUnboundedAboveColumn) {
+  // max 2x + y, x >= 0 with no upper bound, y in [0, 3],
+  // x + y <= 5, x - y <= 1  ->  (3, 2), objective 8.
+  LinearProgram lp;
+  const auto x = lp.add_variable(0.0, kInfinity, 2.0);
+  const auto y = lp.add_variable(0.0, 3.0, 1.0);
+  lp.set_sense(Sense::Maximize);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, -kInfinity, 5.0);
+  lp.add_row({{x, 1.0}, {y, -1.0}}, -kInfinity, 1.0);
+  SimplexSolver solver(lp);
+  const Solution sol = solver.solve();
+  EXPECT_FALSE(solver.last_solve_was_warm());
+  EXPECT_TRUE(certified_optimum(lp, sol));
+  EXPECT_NEAR(sol.objective, 8.0, 1e-9);
+  EXPECT_NEAR(sol.x[x], 3.0, 1e-9);
+  EXPECT_NEAR(sol.x[y], 2.0, 1e-9);
+}
+
+TEST(SimplexCold, FreeColumnWithNonzeroCost) {
+  // min 2x + y, x free, y >= 0, x + y >= 3, x - y >= -1  ->  (1, 2), 4.
+  LinearProgram lp;
+  const auto x = lp.add_variable(-kInfinity, kInfinity, 2.0);
+  const auto y = lp.add_variable(0.0, kInfinity, 1.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, 3.0, kInfinity);
+  lp.add_row({{x, 1.0}, {y, -1.0}}, -1.0, kInfinity);
+  const Solution sol = solve(lp);
+  EXPECT_TRUE(certified_optimum(lp, sol));
+  EXPECT_NEAR(sol.objective, 4.0, 1e-9);
+  EXPECT_NEAR(sol.x[x], 1.0, 1e-9);
+}
+
+TEST(SimplexCold, RedundantEqualitiesKeepAnExportableBasis) {
+  // Three equalities of rank two.  The slack of a redundant row may stay
+  // basic, and the basis is still a valid warm start.
+  LinearProgram lp;
+  const auto x = lp.add_variable(0.0, kInfinity, 1.0);
+  const auto y = lp.add_variable(0.0, kInfinity, 2.0);
+  const auto z = lp.add_variable(0.0, 5.0, 1.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, 4.0, 4.0);
+  lp.add_row({{x, 2.0}, {y, 2.0}}, 8.0, 8.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}, {z, 1.0}}, 6.0, 6.0);
+  SimplexSolver solver(lp);
+  const Solution cold = solver.solve();
+  EXPECT_TRUE(certified_optimum(lp, cold));
+  EXPECT_NEAR(cold.objective, 6.0, 1e-9);  // x = 4, z = 2
+
+  const Basis basis = solver.basis();
+  ASSERT_FALSE(basis.empty());
+  const Solution warm = solver.solve_from(basis);
+  EXPECT_TRUE(solver.last_solve_was_warm());
+  EXPECT_TRUE(certified_optimum(lp, warm));
+  EXPECT_NEAR(warm.objective, cold.objective, 1e-12);
+}
+
+TEST(SimplexCold, DualSimplexProvesInfeasibility) {
+  // Dual-feasible start: x + y >= 6 over the box [0, 2]^2.
+  LinearProgram lp;
+  const auto x = lp.add_variable(0.0, 2.0, 1.0);
+  const auto y = lp.add_variable(0.0, 2.0, 1.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, 6.0, kInfinity);
+  SimplexSolver solver(lp);
+  const Solution sol = solver.solve();
+  EXPECT_EQ(sol.status, SolveStatus::Infeasible);
+  EXPECT_GT(sol.iterations, 0u);
+  EXPECT_TRUE(solver.basis().empty());
+
+  // Not dual feasible (a free column with nonzero cost): the
+  // zero-objective pass finds the same certificate.
+  LinearProgram free_lp;
+  const auto f = free_lp.add_variable(-kInfinity, kInfinity, -1.0);
+  const auto g = free_lp.add_variable(0.0, 2.0, 1.0);
+  free_lp.add_row({{f, 1.0}, {g, 1.0}}, 6.0, kInfinity);
+  free_lp.add_row({{f, 1.0}}, -kInfinity, 1.0);
+  EXPECT_EQ(solve(free_lp).status, SolveStatus::Infeasible);
+}
+
+TEST(SimplexCold, DualStallSwitchKeepsTheOptimum) {
+  // dense_lp's slack start is dual feasible, so the cold solve is dual
+  // pivots.  stall_limit = 1 moves them onto Bland's rule after the
+  // first dual-degenerate pivot; the certified optimum must not change.
+  const LinearProgram lp = dense_lp();
+  const Solution reference = solve(lp);
+  ASSERT_TRUE(certified_optimum(lp, reference));
+  for (const Pricing pricing : {Pricing::Dantzig, Pricing::Bland}) {
+    SimplexOptions opt;
+    opt.pricing = pricing;
+    opt.stall_limit = 1;
+    const Solution sol = solve(lp, opt);
+    EXPECT_TRUE(certified_optimum(lp, sol));
+    EXPECT_NEAR(sol.objective, reference.objective,
+                1e-9 * (1.0 + std::fabs(reference.objective)));
+  }
+}
+
+TEST(SimplexCertificate, RejectsTamperedSolutions) {
+  // The certificate is the oracle of the cold-path and property suites,
+  // so it must notice each kind of wrong answer.
+  LinearProgram lp;
+  const auto x = lp.add_variable(0.0, kInfinity, 3.0);
+  const auto y = lp.add_variable(0.0, kInfinity, 5.0);
+  lp.set_sense(Sense::Maximize);
+  lp.add_row({{x, 1.0}}, -kInfinity, 4.0);
+  lp.add_row({{y, 2.0}}, -kInfinity, 12.0);
+  lp.add_row({{x, 3.0}, {y, 2.0}}, -kInfinity, 18.0);
+  const Solution sol = solve(lp);
+  ASSERT_TRUE(certified_optimum(lp, sol));
+
+  Solution infeasible = sol;  // 3x + 2y = 19.5 > 18
+  infeasible.x[x] += 0.5;
+  EXPECT_FALSE(certified_optimum(lp, infeasible));
+
+  Solution wrong_objective = sol;
+  wrong_objective.objective += 1.0;
+  EXPECT_FALSE(certified_optimum(lp, wrong_objective));
+
+  Solution wrong_duals = sol;  // reduced costs no longer c - A'y
+  wrong_duals.duals[2] = -wrong_duals.duals[2];
+  EXPECT_FALSE(certified_optimum(lp, wrong_duals));
+
+  Solution no_duals = sol;  // consistent, but d pulls x, y towards +inf
+  no_duals.duals.assign(3, 0.0);
+  no_duals.reduced_costs = {-3.0, -5.0};
+  EXPECT_FALSE(certified_optimum(lp, no_duals));
+
+  Solution suboptimal = sol;  // feasible vertex (0, 6), objective 30
+  suboptimal.x = {0.0, 6.0};
+  suboptimal.objective = 30.0;
+  EXPECT_FALSE(certified_optimum(lp, suboptimal));
 }
 
 TEST(SimplexDeadline, ExpiredOnEntryReturnsTimeLimitWithoutPivoting) {

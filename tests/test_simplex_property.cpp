@@ -1,8 +1,8 @@
 // Property-based testing of the simplex solver on randomly generated
 // programs.  Rather than asserting exact optima, we verify solver
-// invariants: primal feasibility of reported points, agreement between
-// Dantzig and Bland pricing, and weak-duality-style bound sanity against
-// brute-force vertex enumeration on small instances.
+// invariants: every reported optimum carries a valid optimality
+// certificate (lp_certificate.hpp), Dantzig and Bland pricing agree,
+// and no grid point of a small instance beats the reported optimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,10 +11,12 @@
 
 #include "common/rng.hpp"
 #include "lp/simplex.hpp"
+#include "lp_certificate.hpp"
 
 namespace {
 
 using namespace rrp::lp;
+using rrp::lp_test::certified_optimum;
 
 struct RandomLpParams {
   std::uint64_t seed;
@@ -70,6 +72,7 @@ TEST_P(SimplexRandomProperty, ReportedOptimaAreFeasible) {
   if (sol.status == SolveStatus::Optimal) {
     EXPECT_LT(lp.max_violation(sol.x), 1e-6);
     EXPECT_NEAR(lp.objective_value(sol.x), sol.objective, 1e-6);
+    EXPECT_TRUE(certified_optimum(lp, sol));
   } else {
     // Bounded boxes + finite row ranges can never be unbounded.
     EXPECT_EQ(sol.status, SolveStatus::Infeasible);
@@ -91,6 +94,8 @@ TEST_P(SimplexRandomProperty, DantzigAndBlandAgree) {
   if (dantzig.status == SolveStatus::Optimal) {
     EXPECT_NEAR(dantzig.objective, bland.objective,
                 1e-6 * (1.0 + std::fabs(dantzig.objective)));
+    EXPECT_TRUE(certified_optimum(lp, dantzig));
+    EXPECT_TRUE(certified_optimum(lp, bland));
   }
 }
 
@@ -110,6 +115,7 @@ TEST_P(SimplexGridCheck, NeverWorseThanGridSearch) {
   const LinearProgram lp = make_random_lp(p);
   const Solution sol = solve(lp);
   if (sol.status != SolveStatus::Optimal) return;
+  EXPECT_TRUE(certified_optimum(lp, sol));
 
   double best_grid = sol.objective + 1.0;
   const int steps = 120;

@@ -83,7 +83,8 @@ TEST(SimplexWarm, WarmEqualsColdAfterBoundTightening) {
 
 TEST(SimplexWarm, WarmStartSkipsPivots) {
   // A small bound change near the optimum should need far fewer pivots
-  // than the cold two-phase solve — the whole point of warm starting.
+  // than the cold solve from the slack basis — the whole point of warm
+  // starting.
   const LinearProgram lp = dense_lp();
   SimplexSolver solver(lp);
   const Solution cold = solver.solve();
@@ -100,7 +101,7 @@ TEST(SimplexWarm, WarmStartSkipsPivots) {
 TEST(SimplexWarm, WarmDetectsInfeasibility) {
   // min x + y, x + y >= 6, x,y in [0, 10]; fixing both to 1 makes the
   // row unsatisfiable.  The dual simplex must certify infeasibility
-  // without falling back to phase 1.
+  // without falling back to a cold solve.
   LinearProgram lp;
   const auto x = lp.add_variable(0.0, 10.0, 1.0);
   const auto y = lp.add_variable(0.0, 10.0, 1.0);

@@ -13,6 +13,9 @@ Failure conditions:
   * a benchmark explores more nodes than its baseline `max_nodes` cap
     (node counts are deterministic at jobs=1, so a cap catches cut or
     branching regressions that wall-time floors would miss);
+  * a benchmark's node LPs take more simplex pivots than its baseline
+    `max_pivots` cap (deterministic at jobs=1 like node counts; catches
+    a cold solve silently going back to a primal first phase);
   * srrp_warm_speedup falls below the baseline's min_srrp_warm_speedup
     (the ISSUE 5 acceptance bar: warm starts must at least double B&B
     node throughput on the SRRP deterministic equivalent);
@@ -160,7 +163,8 @@ def main() -> int:
         name = base["name"]
         gates_nps = "nodes_per_second" in base
         gates_nodes = "max_nodes" in base
-        if not gates_nps and not gates_nodes:
+        gates_pivots = "max_pivots" in base
+        if not (gates_nps or gates_nodes or gates_pivots):
             continue
         got = measured_by_name.get(name)
         if got is None:
@@ -187,6 +191,18 @@ def main() -> int:
                 failures.append(
                     f"{name}: {nodes} nodes exceeds cap {cap} "
                     f"({nodes / cap:.2f}x of cap)")
+        if gates_pivots:
+            cap = base["max_pivots"]
+            pivots = got.get("pivots")
+            if pivots is None:
+                failures.append(f"{name}: no pivot count in measured results")
+            else:
+                status = "ok" if pivots <= cap else "FAIL"
+                print(f"{status:4} {name}: {pivots} pivots (cap {cap})")
+                if pivots > cap:
+                    failures.append(
+                        f"{name}: {pivots} pivots exceeds cap {cap} "
+                        f"({pivots / cap:.2f}x of cap)")
 
     min_speedup = baseline.get("min_srrp_warm_speedup")
     if min_speedup is not None:

@@ -30,6 +30,7 @@ Exit status is 0 when clean, 1 when any violation is found.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import os
 import re
 import subprocess
@@ -86,11 +87,43 @@ class Violation:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
+def gitignore_patterns(root: str) -> list[str]:
+    """Patterns of the root .gitignore; comments, blank lines and
+    negations (`!pattern`) are skipped."""
+    try:
+        with open(os.path.join(root, ".gitignore"), encoding="utf-8") as f:
+            lines = [line.strip() for line in f]
+    except OSError:
+        return []
+    return [p for p in lines if p and not p.startswith(("#", "!"))]
+
+
+def is_ignored(rel: str, is_dir: bool, patterns: list[str]) -> bool:
+    """Whether repo-relative `rel` matches a .gitignore pattern (the
+    subset the repo uses: globs, a trailing `/` for directories only, and
+    a `/` inside the pattern anchoring it at the root)."""
+    name = rel.rsplit("/", 1)[-1]
+    for pattern in patterns:
+        if pattern.endswith("/"):
+            if not is_dir:
+                continue
+            pattern = pattern.rstrip("/")
+        if "/" in pattern:
+            if fnmatch.fnmatchcase(rel, pattern.lstrip("/")):
+                return True
+        elif fnmatch.fnmatchcase(name, pattern):
+            return True
+    return False
+
+
 def tracked_files(root: str) -> list[str]:
     """Repo-relative paths of files subject to lint.
 
     Prefers `git ls-files` (which also powers the committed-artifact
-    rule); falls back to walking the tree when git is unavailable.
+    rule); falls back to walking the tree when git is unavailable (an
+    exported source tree, say).  The walk skips what the root
+    .gitignore ignores, so a build tree next to the sources is not taken
+    for committed artifacts.
     """
     try:
         out = subprocess.run(
@@ -103,12 +136,19 @@ def tracked_files(root: str) -> list[str]:
             return files
     except (OSError, subprocess.CalledProcessError):
         pass
+    patterns = gitignore_patterns(root)
     files = []
     for dirpath, dirnames, filenames in os.walk(root):
-        dirnames[:] = [d for d in dirnames if d != ".git"]
+        rel_dir = os.path.relpath(dirpath, root).replace(os.sep, "/")
+        prefix = "" if rel_dir == "." else rel_dir + "/"
+        dirnames[:] = [
+            d
+            for d in dirnames
+            if d != ".git" and not is_ignored(prefix + d, True, patterns)
+        ]
         for name in filenames:
-            rel = os.path.relpath(os.path.join(dirpath, name), root)
-            files.append(rel.replace(os.sep, "/"))
+            if not is_ignored(prefix + name, False, patterns):
+                files.append(prefix + name)
     return files
 
 

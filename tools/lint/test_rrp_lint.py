@@ -171,6 +171,22 @@ class RuleTests(unittest.TestCase):
         self.assertEqual(len(violations), 2)
 
 
+    def test_gitignored_build_trees_skipped_without_git(self):
+        # An exported tree (no git) with build trees next to the sources:
+        # the walk honours the root .gitignore instead of reporting every
+        # build output as a committed artifact.
+        self.tree.write(".gitignore", "# build\nbuild/\n.bench_build/\n*.o\n")
+        self.tree.write("build/CMakeCache.txt", "CMAKE_BUILD_TYPE=Release\n")
+        self.tree.write(".bench_build/perfbench/CMakeFiles/x.o", "\x7fELF")
+        self.tree.write("src/lp/obj.o", "\x7fELF")
+        self.tree.write("src/lp/ok.hpp", "#pragma once\n")
+        self.assertEqual(
+            sorted(rrp_lint.tracked_files(self.tree.root)),
+            [".gitignore", "src/lp/ok.hpp"],
+        )
+        self.assertEqual(rrp_lint.lint(self.tree.root), [])
+
+
 class CliTests(unittest.TestCase):
     def test_missing_root_is_an_error_not_clean(self):
         with contextlib.redirect_stderr(io.StringIO()) as err:

@@ -589,7 +589,8 @@ void usage() {
       "  availability  profile a fixed bid against a trace\n"
       "\n"
       "observability flags (any command):\n"
-      "  --metrics-out FILE   write the metrics registry as JSON on exit\n"
+      "  --metrics-out FILE   write the metrics registry on exit, one\n"
+      "                       `name value` line per series\n"
       "  --trace-out FILE     record spans, write Chrome trace JSON\n"
       "                       (open in Perfetto or chrome://tracing)\n"
       "  --events-out FILE    stream structured events as JSONL\n";
