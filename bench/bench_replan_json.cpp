@@ -122,9 +122,7 @@ Record run_case(std::size_t history, core::ReplanMode mode) {
 
 void write_json(const std::vector<Record>& records, std::ostream& out) {
   out << "{\n";
-  out << "  \"schema\": \"rrp-bench-replan-v1\",\n";
-  out << "  \"observability\": "
-      << (RRP_OBSERVABILITY_ENABLED ? "true" : "false") << ",\n";
+  out << "  \"schema\": \"rrp-bench-replan-v2\",\n";
   out << "  \"eval_hours\": " << kEvalHours << ",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {

@@ -72,12 +72,8 @@ std::string fmt(double v) {
 void write_json(const std::vector<Record>& records, double srrp_warm_speedup,
                 std::ostream& out) {
   out << "{\n";
-  out << "  \"schema\": \"rrp-bench-solvers-v3\",\n";
+  out << "  \"schema\": \"rrp-bench-solvers-v4\",\n";
   out << "  \"repeats\": " << kRepeats << ",\n";
-  // Whether the RRP_OBSERVABILITY instrumentation macros were compiled
-  // in; check_perf.py's --obs-off gate requires an ON/OFF pair.
-  out << "  \"observability\": "
-      << (RRP_OBSERVABILITY_ENABLED ? "true" : "false") << ",\n";
   // Full registry snapshot after all measured solves: counters for
   // pivots, refactorisations, nodes, cuts, recoveries and friends.
   out << "  \"metrics\": " << obs::global_registry().scrape().to_json()
@@ -153,9 +149,8 @@ Record bench_milp(std::string name, Solve&& solve) {
   Record rec;
   rec.name = std::move(name);
   std::size_t nodes = 0, warm = 0, cold = 0;
-  // Always-on counter (RRP_OBSERVABILITY=OFF builds keep it), so the
-  // pivot count is available to check_perf.py's max_pivots caps in
-  // every build flavour.
+  // Always-on B&B counter that feeds MipResult::lp_iterations, so the
+  // pivot count for check_perf.py's max_pivots caps matches the result.
   const obs::Counter& lp_iterations =
       obs::global_registry().counter("rrp.bnb.lp_iterations");
   rec.median_seconds = median_seconds([&] {

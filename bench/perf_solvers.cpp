@@ -193,9 +193,7 @@ BENCHMARK(BM_SrrpTreeDp)->Arg(2)->Arg(3)->Arg(4)->Arg(8);
 // with the macros compiled in; Arg 1 additionally enables span
 // recording and installs an event sink, so every RRP_TRACE_SPAN and
 // RRP_OBS_EVENT site pays its full armed cost instead of one relaxed
-// load.  The JSON suite's obs-on/obs-off gate (tools/check_perf.py
-// --obs-off) compares separate ON/OFF builds; this pair isolates the
-// runtime arming cost within one build.
+// load, isolating the runtime arming cost.
 class DiscardSink final : public obs::EventSink {
  public:
   void write(const obs::Event&) override {}

@@ -105,11 +105,12 @@ namespace {
 
 constexpr double kPriceFloor = 1e-4;
 
-/// Process-wide degradation telemetry, fed unconditionally (not through
-/// the compile-out macros): the SimulationResult fallback counters are
-/// computed as before/after deltas over these in PolicyRunner::run(),
-/// so they must advance in RRP_OBSERVABILITY=OFF builds too.  (Same
-/// pattern as SolveCounters in milp/branch_and_bound.cpp.)
+/// Process-wide degradation telemetry, held as cached counter references
+/// rather than fed through the macros: the SimulationResult fallback
+/// counters are computed as before/after deltas over these in
+/// PolicyRunner::run(), and the cached references keep registry lookups
+/// off the replan path.  (Same pattern as SolveCounters in
+/// milp/branch_and_bound.cpp.)
 struct RhCounters {
   obs::Counter& replans = obs::global_registry().counter("rrp.rh.replans");
   obs::Counter& replan_timeouts =

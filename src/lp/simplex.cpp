@@ -14,11 +14,11 @@ namespace rrp::lp {
 namespace {
 constexpr double kPivotTol = 1e-9;
 
-// Factorisation telemetry feeds the registry unconditionally (not via
-// the compile-out macros): the milp::MipResult compatibility view reads
-// these counters at solve end, so they must stay correct in
-// RRP_OBSERVABILITY=OFF builds too.  One sharded relaxed add per event;
-// the registry lookup runs once per process.
+// Factorisation telemetry feeds the registry through these cached
+// accessors rather than the macros: several sites share each counter,
+// and the milp::MipResult compatibility view reads the same counters at
+// solve end.  One sharded relaxed add per event; the registry lookup
+// runs once per process.
 obs::Counter& refactorizations_counter() {
   static obs::Counter& c =
       obs::global_registry().counter("rrp.lp.refactorizations");

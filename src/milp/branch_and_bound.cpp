@@ -25,10 +25,11 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Process-wide solve telemetry, fed unconditionally (not through the
-/// compile-out macros): the MipResult compatibility fields are computed
-/// as before/after deltas over these counters in Solver::run(), so they
-/// must advance in RRP_OBSERVABILITY=OFF builds too.  A sharded relaxed
+/// Process-wide solve telemetry, held as cached counter references
+/// rather than fed through the macros: the MipResult compatibility
+/// fields are computed as before/after deltas over these counters in
+/// Solver::run(), and one struct of references keeps the registry
+/// lookups (and its mutex) off the per-solve path.  A sharded relaxed
 /// add per event keeps the workers race free without per-worker structs
 /// reduced at join.  The rrp.lp.* entries are written by the simplex
 /// layer (src/lp/simplex.cpp); they are looked up here only to snapshot
@@ -794,8 +795,8 @@ MipResult Solver::run() {
   // Compatibility view over the obs registry: the public MipResult
   // telemetry fields are counter deltas across this solve, mirroring
   // the per-worker field reduction they replace exactly (every counting
-  // site below and in src/lp/simplex.cpp advances unconditionally, so
-  // the fields stay correct under RRP_OBSERVABILITY=OFF).
+  // site below and in src/lp/simplex.cpp advances a cached counter, so
+  // these snapshots never take the registry mutex).
   result.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
   result.lp_iterations =
       static_cast<std::size_t>(tel.lp_iterations.value() - lp_iterations0);

@@ -2,9 +2,8 @@
 // used to be ad-hoc telemetry vectors — rolling-horizon fallbacks
 // (core::FallbackEvent), spot revocations and migrations, price-feed
 // faults, LP recovery-ladder rungs.  Emission sites go through the
-// RRP_OBS_EVENT macro (obs/obs.hpp) so they compile out under
-// RRP_OBSERVABILITY=OFF; with no sink installed an emission costs one
-// relaxed atomic load.
+// RRP_OBS_EVENT macro (obs/obs.hpp); with no sink installed an
+// emission costs one relaxed atomic load.
 //
 // The stock sink writes JSONL (one JSON object per line) — the
 // --events-out CLI format — but anything implementing EventSink can be

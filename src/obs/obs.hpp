@@ -1,27 +1,11 @@
-// Umbrella header for the observability layer: compile-out-able
-// instrumentation macros over obs/registry.hpp, obs/trace.hpp and
-// obs/events.hpp.
+// Umbrella header for the observability layer: instrumentation macros
+// over obs/registry.hpp, obs/trace.hpp and obs/events.hpp — registry
+// updates, scoped trace spans, structured events.
 //
-// Like RRP_INVARIANT (common/invariant.hpp), every macro below is
-// governed by one CMake option:
+// Cold epilogue code — the MipResult / SimulationResult compatibility
+// views, --metrics-out — talks to the registry directly.
 //
-//   RRP_OBSERVABILITY=ON  (default) defines RRP_ENABLE_OBSERVABILITY and
-//     the macros expand to real instrumentation — registry updates,
-//     scoped trace spans, structured events;
-//   RRP_OBSERVABILITY=OFF leaves it undefined and every macro expands to
-//     a no-op that never evaluates its value arguments (the off-build
-//     probe TU tests/obs_off_probe.cpp proves this), so the hot paths
-//     carry zero instrumentation cost.
-//
-// RRP_OBSERVABILITY_FORCE_OFF overrides per translation unit, mirroring
-// RRP_INVARIANTS_FORCE_OFF.
-//
-// The obs *classes* are compiled unconditionally: cold epilogue code —
-// the MipResult/SimulationResult compatibility views, --metrics-out —
-// talks to the registry directly so result structs stay correct in
-// every build flavour; only the hot-path macro sites compile away.
-//
-// Macro site cost with RRP_OBSERVABILITY=ON:
+// Macro site cost:
 //   RRP_COUNTER_ADD    one relaxed fetch_add on a thread-sharded cell
 //                      (the registry lookup runs once per site, cached
 //                      in a function-local static reference);
@@ -33,19 +17,9 @@
 //   RRP_OBS_EVENT      one relaxed load when no sink is installed.
 #pragma once
 
-#if defined(RRP_OBSERVABILITY_FORCE_OFF)
-#define RRP_OBSERVABILITY_ENABLED 0
-#elif defined(RRP_ENABLE_OBSERVABILITY)
-#define RRP_OBSERVABILITY_ENABLED 1
-#else
-#define RRP_OBSERVABILITY_ENABLED 0
-#endif
-
 #include "obs/events.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-
-#if RRP_OBSERVABILITY_ENABLED
 
 /// Adds `n` to the named process-wide counter.  `name` must be a string
 /// literal (one registry lookup per site, then cached).
@@ -99,37 +73,3 @@
 /// keeps the braced field list intact through the macro.
 #define RRP_OBS_EVENT(...) \
   ::rrp::obs::EventLog::instance().emit(__VA_ARGS__)
-
-#else  // !RRP_OBSERVABILITY_ENABLED
-
-// No-op expansions mirroring common/invariant.hpp: numeric value
-// arguments are parsed (sizeof) but never evaluated; names and braced
-// lists are discarded.
-#define RRP_COUNTER_ADD(name, n) \
-  do {                           \
-    (void)sizeof((n));           \
-  } while (false)
-#define RRP_GAUGE_SET(name, v) \
-  do {                         \
-    (void)sizeof((v));         \
-  } while (false)
-#define RRP_GAUGE_ADD(name, v) \
-  do {                         \
-    (void)sizeof((v));         \
-  } while (false)
-#define RRP_HISTOGRAM_OBSERVE(name, v, ...) \
-  do {                                      \
-    (void)sizeof((v));                      \
-  } while (false)
-#define RRP_TRACE_SPAN(name) \
-  do {                       \
-  } while (false)
-#define RRP_TRACE_ARG(key, v) \
-  do {                        \
-    (void)sizeof((v));        \
-  } while (false)
-#define RRP_OBS_EVENT(...) \
-  do {                     \
-  } while (false)
-
-#endif  // RRP_OBSERVABILITY_ENABLED

@@ -19,10 +19,8 @@
 // annotated rrp::Mutex from PR 6; instrumentation sites cache the
 // returned reference (metrics are never deleted, so references stay
 // valid for the process lifetime).  The hot-path macros that feed this
-// registry live in obs/obs.hpp and compile out under
-// RRP_OBSERVABILITY=OFF; the registry itself is always built so cold
-// epilogue code (result-struct compatibility views, --metrics-out) works
-// in every build flavour.
+// registry live in obs/obs.hpp; cold epilogue code (result-struct
+// compatibility views, --metrics-out) talks to it directly.
 #pragma once
 
 #include <array>

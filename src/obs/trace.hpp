@@ -133,9 +133,8 @@ class TraceRecorder {
   std::uint32_t next_tid_ RRP_GUARDED_BY(mu_) = 0;
 };
 
-/// RAII scoped span; use through RRP_TRACE_SPAN / RRP_TRACE_ARG so span
-/// sites compile out under RRP_OBSERVABILITY=OFF.  `name` must be a
-/// string literal.
+/// RAII scoped span; use through RRP_TRACE_SPAN / RRP_TRACE_ARG.
+/// `name` must be a string literal.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);

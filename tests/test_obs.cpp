@@ -1,7 +1,7 @@
 // Observability layer: registry correctness (counters, gauges,
 // histograms, scrape), trace spans (FakeClock durations, nesting,
 // thread attribution, Chrome JSON), structured events, and the
-// off-build no-op probe.  The concurrent tests double as the TSan
+// instrumentation macros.  The concurrent tests double as the TSan
 // targets (the CI tsan job runs -R "...|Obs").
 #include <gtest/gtest.h>
 
@@ -14,10 +14,6 @@
 
 #include "common/deadline.hpp"
 #include "obs/obs.hpp"
-
-namespace rrp_test {
-bool obs_off_probe_evaluated();
-}
 
 namespace {
 
@@ -364,10 +360,9 @@ TEST_F(ObsEvents, ConcurrentEmitters) {
 }
 
 // ---------------------------------------------------------------------------
-// Macros (this TU builds with observability ON) and the off-build probe.
+// Macros.
 // ---------------------------------------------------------------------------
 
-#if RRP_OBSERVABILITY_ENABLED
 TEST(ObsMacros, FeedTheGlobalRegistry) {
   RRP_COUNTER_ADD("test.obs.macro.counter", 2);
   RRP_COUNTER_ADD("test.obs.macro.counter", 3);
@@ -376,11 +371,6 @@ TEST(ObsMacros, FeedTheGlobalRegistry) {
   const auto snap = obs::global_registry().scrape();
   EXPECT_EQ(snap.counter("test.obs.macro.counter"), 5u);
   EXPECT_DOUBLE_EQ(snap.gauge("test.obs.macro.gauge"), 9.5);
-}
-#endif  // RRP_OBSERVABILITY_ENABLED
-
-TEST(ObsOffProbe, DisabledMacrosNeverEvaluateArguments) {
-  EXPECT_FALSE(rrp_test::obs_off_probe_evaluated());
 }
 
 }  // namespace

@@ -20,17 +20,14 @@ Failure conditions:
     (the ISSUE 5 acceptance bar: warm starts must at least double B&B
     node throughput on the SRRP deterministic equivalent);
   * a baseline benchmark is missing from the measured file;
-  * with --obs-off OBSOFF_JSON (a run from an RRP_OBSERVABILITY=OFF
-    build): the obs-ON SRRP warm node throughput (--obs-row) drops more
-    than --obs-tolerance (default 2%) below the obs-OFF run — the
-    instrumentation-overhead budget.  Both files carry an
-    "observability" flag so the gate refuses a mismatched pair.
+  * the measured file's "schema" differs from the baseline's (for both
+    suites), so a run in an old or foreign layout is refused.
 
 On failure, each offending line reports the measured-vs-floor ratio so
 the log shows how far off the run was without a manual division.
 
 The same script also gates the re-plan latency suite: when the baseline
-file carries "schema": "rrp-bench-replan-v1" (bench/BENCH_replan.
+file carries "schema": "rrp-bench-replan-v2" (bench/BENCH_replan.
 baseline.json vs a BENCH_replan.json run from bench_replan_json), the
 checks switch to:
   * flatness — the incremental mode's mean re-plan latency at
@@ -42,12 +39,13 @@ checks switch to:
     mode's (CI floor: incremental beats full rebuild >= 5x at 2048h).
 
 Usage: check_perf.py MEASURED_JSON BASELINE_JSON [--tolerance 0.25]
-                     [--obs-off OBSOFF_JSON] [--obs-tolerance 0.02]
 """
 
 import argparse
 import json
 import sys
+
+REPLAN_SCHEMA = "rrp-bench-replan-v2"
 
 
 def ratio_str(actual: float, floor: float) -> str:
@@ -57,12 +55,7 @@ def ratio_str(actual: float, floor: float) -> str:
 
 
 def check_replan(measured: dict, baseline: dict) -> int:
-    """Gate a rrp-bench-replan-v1 run (re-plan latency suite)."""
-    if measured.get("schema") != "rrp-bench-replan-v1":
-        print("replan gate: measured file does not carry "
-              "schema rrp-bench-replan-v1", file=sys.stderr)
-        return 1
-
+    """Gate a re-plan latency suite run."""
     by_key = {(r["history"], r["mode"]): r
               for r in measured.get("results", [])}
     failures = []
@@ -135,17 +128,6 @@ def main() -> int:
     parser.add_argument("--tolerance", type=float, default=0.25,
                         help="allowed fractional drop below the baseline "
                              "floor (default 0.25)")
-    parser.add_argument("--obs-off",
-                        help="BENCH_solvers.json from an "
-                             "RRP_OBSERVABILITY=OFF build; enables the "
-                             "instrumentation-overhead gate")
-    parser.add_argument("--obs-row", default="srrp_aggregated_w3_warm",
-                        help="benchmark entry the overhead gate compares "
-                             "(default srrp_aggregated_w3_warm)")
-    parser.add_argument("--obs-tolerance", type=float, default=0.02,
-                        help="allowed fractional node-throughput drop of "
-                             "the obs-ON run vs the obs-OFF run "
-                             "(default 0.02)")
     args = parser.parse_args()
 
     with open(args.measured) as f:
@@ -153,7 +135,12 @@ def main() -> int:
     with open(args.baseline) as f:
         baseline = json.load(f)
 
-    if baseline.get("schema") == "rrp-bench-replan-v1":
+    if measured.get("schema") != baseline.get("schema"):
+        print(f"perf-smoke FAILED: measured schema "
+              f"{measured.get('schema')!r} does not match baseline schema "
+              f"{baseline.get('schema')!r}", file=sys.stderr)
+        return 1
+    if baseline.get("schema") == REPLAN_SCHEMA:
         return check_replan(measured, baseline)
 
     measured_by_name = {r["name"]: r for r in measured.get("results", [])}
@@ -214,36 +201,6 @@ def main() -> int:
             failures.append(
                 f"srrp_warm_speedup {speedup:.2f}x below {min_speedup:.2f}x "
                 f"({ratio_str(speedup, min_speedup)} of minimum)")
-
-    if args.obs_off:
-        with open(args.obs_off) as f:
-            obs_off = json.load(f)
-        if measured.get("observability") is not True:
-            failures.append("obs gate: MEASURED_JSON was not produced by an "
-                            "RRP_OBSERVABILITY=ON build")
-        if obs_off.get("observability") is not False:
-            failures.append("obs gate: --obs-off file was not produced by an "
-                            "RRP_OBSERVABILITY=OFF build")
-        off_by_name = {r["name"]: r for r in obs_off.get("results", [])}
-        on_row = measured_by_name.get(args.obs_row)
-        off_row = off_by_name.get(args.obs_row)
-        if on_row is None or off_row is None:
-            failures.append(f"obs gate: {args.obs_row} missing from "
-                            "measured and/or --obs-off results")
-        else:
-            on_nps = on_row.get("nodes_per_second", 0.0)
-            off_nps = off_row.get("nodes_per_second", 0.0)
-            floor = off_nps * (1.0 - args.obs_tolerance)
-            status = "ok" if on_nps >= floor else "FAIL"
-            print(f"{status:4} obs overhead on {args.obs_row}: "
-                  f"{on_nps:.0f} nodes/s with obs vs {off_nps:.0f} without "
-                  f"(floor {floor:.0f}, {ratio_str(on_nps, floor)} of floor)")
-            if on_nps < floor:
-                overhead = 1.0 - on_nps / off_nps if off_nps > 0 else 0.0
-                failures.append(
-                    f"obs gate: instrumentation costs {overhead:.1%} of "
-                    f"{args.obs_row} node throughput, budget is "
-                    f"{args.obs_tolerance:.1%}")
 
     if failures:
         print("\nperf-smoke FAILED:", file=sys.stderr)

@@ -15,7 +15,8 @@ accept and that the spans are physically plausible:
     the recorder emitted a physically impossible interleaving.
 
 Exit status 0 when valid; 1 with a diagnostic otherwise.  Used by the
-CI obs-off job (README "Observability") and usable standalone:
+cli_validate_trace test, the CI perf-smoke job (README "Observability")
+and usable standalone:
 
     python3 tools/validate_trace.py plan_trace.json
 """
