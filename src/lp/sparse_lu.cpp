@@ -14,7 +14,7 @@ namespace {
 /// maximum, leaving room to prefer sparsity among eligible rows.
 constexpr double kPivotThreshold = 0.1;
 /// Below this absolute magnitude a column has no usable pivot and the
-/// basis is declared singular (matches the dense Matrix::inverse gate).
+/// basis is declared singular.
 constexpr double kSingularTol = 1e-12;
 }  // namespace
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <exception>
 #include <limits>
 #include <memory>
@@ -24,6 +23,10 @@ namespace rrp::milp {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Separation rounds at the root (each round re-solves the LP).
+constexpr std::size_t kMaxCutRounds = 8;
+/// Minimum violation for a separated cut to be added.
+constexpr double kCutViolationTol = 1e-6;
 
 /// Process-wide solve telemetry, held as cached counter references
 /// rather than fed through the macros: the MipResult compatibility
@@ -73,36 +76,6 @@ struct Node {
 struct NodeBoundGreater {
   bool operator()(const Node& a, const Node& b) const {
     return a.bound > b.bound;
-  }
-};
-
-/// Simple pseudocost store: average objective degradation per unit of
-/// fractionality, per integer variable and branching direction.
-struct Pseudocosts {
-  std::vector<double> down_sum, up_sum;
-  std::vector<std::size_t> down_n, up_n;
-
-  explicit Pseudocosts(std::size_t n)
-      : down_sum(n, 0.0), up_sum(n, 0.0), down_n(n, 0), up_n(n, 0) {}
-
-  void record(std::size_t idx, bool up, double frac, double degradation) {
-    if (frac <= 1e-9) return;
-    const double unit = degradation / (up ? (1.0 - frac) : frac);
-    if (up) {
-      up_sum[idx] += std::max(unit, 0.0);
-      ++up_n[idx];
-    } else {
-      down_sum[idx] += std::max(unit, 0.0);
-      ++down_n[idx];
-    }
-  }
-
-  double score(std::size_t idx, double frac) const {
-    if (down_n[idx] == 0 || up_n[idx] == 0) return -1.0;  // uninitialised
-    const double down = down_sum[idx] / static_cast<double>(down_n[idx]);
-    const double up = up_sum[idx] / static_cast<double>(up_n[idx]);
-    // Product rule (standard in MIP solvers): rewards balanced impact.
-    return std::max(down * frac, 1e-12) * std::max(up * (1.0 - frac), 1e-12);
   }
 };
 
@@ -170,8 +143,7 @@ class Solver {
         opt_(opt),
         relaxation_(model.to_lp()),
         sense_mult_(model.objective_sense() == Objective::Minimize ? 1.0
-                                                                   : -1.0),
-        pseudo_(model.num_variables()) {
+                                                                   : -1.0) {
     for (std::size_t j = 0; j < model.num_variables(); ++j)
       if (model.is_integral(j)) int_vars_.push_back(j);
     // Node LPs inherit the global deadline unless the caller set a
@@ -226,13 +198,12 @@ class Solver {
   /// rung fails.
   lp::Solution solve_with_recovery(WorkerState& ws, const lp::Basis* start);
 
-  /// Returns the index (into int_vars_) of the branching variable, or
-  /// int_vars_.size() when the point is integral.
-  std::size_t pick_branch_var(const std::vector<double>& x);
+  /// Returns the index (into int_vars_) of the most fractional integer
+  /// variable, or int_vars_.size() when the point is integral.
+  std::size_t pick_branch_var(const std::vector<double>& x) const;
 
-  void try_rounding_heuristic(WorkerState& ws, const Node& node,
-                              const std::vector<double>& x,
-                              const lp::Basis* start);
+  void try_rounding(WorkerState& ws, const Node& node,
+                    const std::vector<double>& x, const lp::Basis* start);
 
   void offer_incumbent(const std::vector<double>& x, double internal_obj);
 
@@ -243,30 +214,16 @@ class Solver {
 
   // -- frontier helpers (compile-time contract: caller holds mtx_) ------
   bool frontier_empty_locked() const RRP_REQUIRES(mtx_) {
-    return heap_.empty() && stack_.empty();
+    return heap_.empty();
   }
-  void push_locked(Node&& n) RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound)
-      heap_.push(std::move(n));
-    else
-      stack_.push_back(std::move(n));
-  }
+  void push_locked(Node&& n) RRP_REQUIRES(mtx_) { heap_.push(std::move(n)); }
   Node pop_locked() RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound) {
-      Node n = heap_.top();
-      heap_.pop();
-      return n;
-    }
-    Node n = std::move(stack_.back());
-    stack_.pop_back();
+    Node n = heap_.top();
+    heap_.pop();
     return n;
   }
   double frontier_best_locked() const RRP_REQUIRES(mtx_) {
-    if (opt_.node_selection == NodeSelection::BestBound)
-      return heap_.empty() ? kInf : heap_.top().bound;
-    double best = kInf;
-    for (const Node& n : stack_) best = std::min(best, n.bound);
-    return best;
+    return heap_.empty() ? kInf : heap_.top().bound;
   }
   /// Proven global bound: the frontier plus every node currently being
   /// processed by a worker (whose slot holds the node's parent bound, a
@@ -285,15 +242,12 @@ class Solver {
   lp::SimplexOptions lp_opt_;  ///< opt_.lp with the inherited deadline
   double sense_mult_;
   std::vector<std::size_t> int_vars_;
-  Mutex pseudo_mtx_;  ///< pseudocost state is shared advisory data
-  Pseudocosts pseudo_ RRP_GUARDED_BY(pseudo_mtx_);
 
   // Shared tree-search state, guarded by mtx_ unless noted.
   Mutex mtx_;
   CondVar cv_;
   std::priority_queue<Node, std::vector<Node>, NodeBoundGreater> heap_
       RRP_GUARDED_BY(mtx_);
-  std::deque<Node> stack_ RRP_GUARDED_BY(mtx_);
   /// Per-worker bound slot; kInf = idle.
   std::vector<double> in_flight_ RRP_GUARDED_BY(mtx_);
   /// Workers currently processing a node.
@@ -338,11 +292,11 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
 
   CutPool pool;
   bool usable = true;
-  for (std::size_t round = 0; round < opt_.max_cut_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxCutRounds; ++round) {
     RRP_TRACE_SPAN("bnb.cut_round");
     RRP_TRACE_ARG("round", round);
     const std::vector<Cut> cuts =
-        opt_.cut_generator->separate(sol.x, opt_.cut_violation_tol);
+        opt_.cut_generator->separate(sol.x, kCutViolationTol);
     const std::size_t old_rows = relaxation_.num_rows();
     lp::Basis parent = solver.basis();
     std::size_t added = 0;
@@ -457,35 +411,16 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   return sol;
 }
 
-std::size_t Solver::pick_branch_var(const std::vector<double>& x) {
+std::size_t Solver::pick_branch_var(const std::vector<double>& x) const {
   std::size_t best = int_vars_.size();
-  double best_score = -kInf;
-  // The pseudocost store is only read under PseudoCost branching, but
-  // the lock is taken unconditionally: conditionally-held capabilities
-  // are inexpressible in the static contract, and outside PseudoCost
-  // mode pseudo_mtx_ is uncontended, so the acquire is a few nanoseconds
-  // against a per-node LP solve.
-  MutexLock pseudo_lock(pseudo_mtx_);
+  double best_dist = -kInf;
   for (std::size_t k = 0; k < int_vars_.size(); ++k) {
     const double v = x[int_vars_[k]];
     const double frac = v - std::floor(v);
     const double dist = std::min(frac, 1.0 - frac);
     if (dist <= opt_.integrality_tol) continue;
-    double score = 0.0;
-    switch (opt_.branching) {
-      case Branching::FirstFractional:
-        return k;
-      case Branching::MostFractional:
-        score = dist;
-        break;
-      case Branching::PseudoCost: {
-        score = pseudo_.score(int_vars_[k], frac);
-        if (score < 0.0) score = dist * 1e-6;  // fall back until initialised
-        break;
-      }
-    }
-    if (score > best_score) {
-      best_score = score;
+    if (dist > best_dist) {
+      best_dist = dist;
       best = k;
     }
   }
@@ -529,9 +464,9 @@ void Solver::offer_incumbent(const std::vector<double>& x,
 #endif
 }
 
-void Solver::try_rounding_heuristic(WorkerState& ws, const Node& node,
-                                    const std::vector<double>& x,
-                                    const lp::Basis* start) {
+void Solver::try_rounding(WorkerState& ws, const Node& node,
+                          const std::vector<double>& x,
+                          const lp::Basis* start) {
   // Fix every integer variable to the nearest integer inside the node
   // bounds, then re-solve the LP for the continuous variables.  The
   // guard restores the node's bounds even when the solve throws.
@@ -615,11 +550,10 @@ void Solver::process_node(WorkerState& ws, Node& node,
     return;
   }
 
-  if (opt_.rounding_heuristic && (node_number == 1 || node_number % 64 == 0))
-    try_rounding_heuristic(ws, node, sol.x, basis.get());
+  if (node_number == 1 || node_number % 64 == 0)
+    try_rounding(ws, node, sol.x, basis.get());
 
-  const std::size_t var = int_vars_[k];
-  const double v = sol.x[var];
+  const double v = sol.x[int_vars_[k]];
   const double frac = v - std::floor(v);
 
   Node down = node;
@@ -633,22 +567,10 @@ void Solver::process_node(WorkerState& ws, Node& node,
   up.depth = node.depth + 1;
   up.start = basis;
 
-  // Record pseudocosts lazily by peeking at the children right away when
-  // pseudocost branching is active (strong-branching-lite).
-  if (opt_.branching == Branching::PseudoCost && node.depth < 4) {
-    lp::Solution dsol = solve_node_lp(ws, down);
-    lp::Solution usol = solve_node_lp(ws, up);
-    MutexLock plock(pseudo_mtx_);
-    if (dsol.status == lp::SolveStatus::Optimal)
-      pseudo_.record(var, false, frac,
-                     sense_mult_ * model_.objective_value(dsol.x) - node_obj);
-    if (usol.status == lp::SolveStatus::Optimal)
-      pseudo_.record(var, true, frac,
-                     sense_mult_ * model_.objective_value(usol.x) - node_obj);
-  }
-
   MutexLock lock(mtx_);
-  // DFS dives toward the nearer integer first (pushed last).
+  // Both children carry the same bound, so the heap orders them by its
+  // push history: keeping the nearer integer pushed last keeps the node
+  // sequence, and with it every solve's node and pivot counts, fixed.
   if (frac >= 0.5) {
     push_locked(std::move(down));
     push_locked(std::move(up));
@@ -698,7 +620,7 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
     const std::size_t node_number =
         nodes_count_.fetch_add(1, std::memory_order_relaxed) + 1;
     solve_counters().nodes.add(1);
-    RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size() + stack_.size());
+    RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size());
     ++active_;
     in_flight_[w] = node.bound;
     lock.unlock();

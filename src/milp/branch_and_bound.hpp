@@ -2,9 +2,9 @@
 //
 // The paper solves DRRP and the deterministic-equivalent SRRP with a
 // commercial B&B (CPLEX via AIMMS); this module is the from-scratch
-// replacement.  It supports best-bound and depth-first node selection,
-// most-fractional / first-fractional / pseudocost branching, a rounding
-// heuristic for early incumbents, and relative/absolute gap termination.
+// replacement: one search with best-bound node selection, most-fractional
+// branching, a rounding heuristic for early incumbents, and
+// relative/absolute gap termination.
 //
 // Two performance levers sit on top of the plain tree search:
 //
@@ -15,7 +15,7 @@
 //     across nodes.  MipResult::warm_started_nodes /
 //     cold_solved_nodes report the split.
 //   * Parallel tree search — `jobs` workers pull nodes from a shared
-//     frontier (mutex-protected heap/stack on common::ThreadPool), each
+//     frontier (mutex-protected heap on common::ThreadPool), each
 //     owning a thread-local SimplexSolver.  Pruning, deadline and
 //     anytime semantics are preserved exactly: a node whose LP times
 //     out returns to the frontier so the proven bound stays sound, and
@@ -33,17 +33,6 @@ namespace rrp::milp {
 
 class CutGenerator;  // milp/cuts.hpp
 
-enum class NodeSelection {
-  BestBound,   ///< explore the node with the most promising relaxation
-  DepthFirst,  ///< dive; finds incumbents fast, default for rolling use
-};
-
-enum class Branching {
-  MostFractional,
-  FirstFractional,
-  PseudoCost,  ///< most-fractional until pseudocosts are initialised
-};
-
 enum class MipStatus {
   Optimal,
   Infeasible,
@@ -56,13 +45,10 @@ enum class MipStatus {
 const char* to_string(MipStatus status);
 
 struct BnbOptions {
-  NodeSelection node_selection = NodeSelection::BestBound;
-  Branching branching = Branching::MostFractional;
   double integrality_tol = 1e-6;
   double relative_gap = 1e-6;
   double absolute_gap = 1e-9;
   std::size_t max_nodes = 200000;
-  bool rounding_heuristic = true;
   /// Warm start node LPs from the parent node's optimal basis (dual
   /// simplex re-optimisation).  Off = every node pays a cold solve from
   /// the slack basis; kept as a switch so benchmarks and tests can compare.
@@ -83,10 +69,6 @@ struct BnbOptions {
   /// separation runs in rounds on the root relaxation before the tree
   /// search starts, re-optimising with the dual simplex per round.
   bool root_cuts = true;
-  /// Separation rounds at the root (each round re-solves the LP).
-  std::size_t max_cut_rounds = 8;
-  /// Minimum violation for a separated cut to be added.
-  double cut_violation_tol = 1e-6;
   lp::SimplexOptions lp;
 };
 

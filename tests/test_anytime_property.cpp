@@ -93,7 +93,6 @@ TEST(AnytimeProperty, AnyNodeOrTimeLimitYieldsWellFormedResult) {
     clock.set_auto_advance(1.0);
     const double budget = rng.uniform(2.0, 120.0);
     opt.deadline = rrp::common::Deadline::after(budget, clock);
-    opt.rounding_heuristic = rng.uniform(0.0, 1.0) < 0.5;
 
     const MipResult r = solve(inst.model, opt);
     switch (r.status) {

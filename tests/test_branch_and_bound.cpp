@@ -119,66 +119,6 @@ TEST(BranchAndBound, ObjectiveConstantIncluded) {
   EXPECT_NEAR(r.objective, 101.0, 1e-6);
 }
 
-TEST(BranchAndBound, DepthFirstAndBestBoundAgree) {
-  rrp::Rng rng(77);
-  for (int trial = 0; trial < 10; ++trial) {
-    Model m;
-    std::vector<Var> items;
-    LinExpr value, weight;
-    for (int i = 0; i < 10; ++i) {
-      items.push_back(m.add_binary());
-      value += rng.uniform(1.0, 20.0) * LinExpr(items.back());
-      weight += rng.uniform(1.0, 10.0) * LinExpr(items.back());
-    }
-    m.set_objective(value, Objective::Maximize);
-    m.add_constraint(std::move(weight) <= 25.0);
-
-    BnbOptions best_bound;
-    best_bound.node_selection = NodeSelection::BestBound;
-    BnbOptions dfs;
-    dfs.node_selection = NodeSelection::DepthFirst;
-    const MipResult a = solve(m, best_bound);
-    const MipResult b = solve(m, dfs);
-    ASSERT_EQ(a.status, MipStatus::Optimal);
-    ASSERT_EQ(b.status, MipStatus::Optimal);
-    EXPECT_NEAR(a.objective, b.objective, 1e-5) << "trial " << trial;
-  }
-}
-
-TEST(BranchAndBound, BranchingRulesAgreeOnOptimum) {
-  rrp::Rng rng(78);
-  for (int trial = 0; trial < 6; ++trial) {
-    Model m;
-    LinExpr value, w1, w2;
-    for (int i = 0; i < 8; ++i) {
-      const Var b = m.add_binary();
-      value += rng.uniform(1.0, 15.0) * LinExpr(b);
-      w1 += rng.uniform(1.0, 8.0) * LinExpr(b);
-      w2 += rng.uniform(1.0, 8.0) * LinExpr(b);
-    }
-    m.set_objective(value, Objective::Maximize);
-    m.add_constraint(std::move(w1) <= 18.0);
-    m.add_constraint(std::move(w2) <= 15.0);
-
-    double reference = 0.0;
-    bool first = true;
-    for (Branching rule : {Branching::MostFractional,
-                           Branching::FirstFractional,
-                           Branching::PseudoCost}) {
-      BnbOptions opt;
-      opt.branching = rule;
-      const MipResult r = solve(m, opt);
-      ASSERT_EQ(r.status, MipStatus::Optimal);
-      if (first) {
-        reference = r.objective;
-        first = false;
-      } else {
-        EXPECT_NEAR(r.objective, reference, 1e-5);
-      }
-    }
-  }
-}
-
 TEST(BranchAndBound, SolutionIsIntegral) {
   Model m;
   const Var x = m.add_integer(0.0, 100.0);
@@ -203,7 +143,6 @@ TEST(BranchAndBound, NodeLimitReportsIncumbentState) {
   m.add_constraint(std::move(weight) <= 40.0);
   BnbOptions opt;
   opt.max_nodes = 3;
-  opt.rounding_heuristic = true;
   const MipResult r = solve(m, opt);
   // With only 3 nodes we may or may not have an incumbent from the
   // heuristic, but the status must reflect it faithfully.

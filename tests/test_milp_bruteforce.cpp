@@ -3,7 +3,8 @@
 // For small random MILPs over binary variables we can enumerate every
 // 0/1 assignment, check feasibility directly and take the best
 // objective — an oracle independent of every solver code path.  B&B
-// must match it exactly (status and optimum) across a randomised sweep.
+// must match it exactly (status and optimum) across a randomised sweep
+// of general rows and of multi-row 0/1 knapsacks.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -63,6 +64,37 @@ RandomMilp make_random_binary_milp(std::uint64_t seed, std::size_t n_vars,
   return r;
 }
 
+/// Maximisation knapsack: positive values, and 1-2 capacity rows with
+/// positive weights whose capacity admits only part of the items.
+RandomMilp make_random_knapsack(std::uint64_t seed, std::size_t n_vars,
+                                std::size_t n_rows) {
+  rrp::Rng rng(seed);
+  RandomMilp r;
+  r.maximize = true;
+  LinExpr value;
+  for (std::size_t j = 0; j < n_vars; ++j) {
+    r.objective.push_back(rng.uniform(1.0, 20.0));
+    value += r.objective.back() * LinExpr(r.model.add_binary());
+  }
+  r.model.set_objective(std::move(value), Objective::Maximize);
+  for (std::size_t row = 0; row < n_rows; ++row) {
+    LinExpr weight;
+    std::vector<double> coeffs(n_vars, 0.0);
+    double total = 0.0;
+    for (std::size_t j = 0; j < n_vars; ++j) {
+      coeffs[j] = rng.uniform(1.0, 10.0);
+      weight += coeffs[j] * LinExpr(Var{j});
+      total += coeffs[j];
+    }
+    const double capacity = rng.uniform(0.3, 0.6) * total;
+    r.model.add_constraint(std::move(weight) <= capacity);
+    r.row_coeffs.push_back(std::move(coeffs));
+    r.row_lo.push_back(-std::numeric_limits<double>::infinity());
+    r.row_hi.push_back(capacity);
+  }
+  return r;
+}
+
 /// Enumerates all assignments; returns (found_feasible, best objective).
 std::pair<bool, double> brute_force(const RandomMilp& r,
                                     std::size_t n_vars) {
@@ -89,13 +121,8 @@ std::pair<bool, double> brute_force(const RandomMilp& r,
   return {found, best};
 }
 
-class BnbVsBruteForce : public ::testing::TestWithParam<int> {};
-
-TEST_P(BnbVsBruteForce, StatusAndOptimumMatch) {
-  const std::size_t n_vars = 4 + static_cast<std::size_t>(GetParam()) % 7;
-  const std::size_t n_rows = 1 + static_cast<std::size_t>(GetParam()) % 4;
-  const auto r = make_random_binary_milp(
-      31000 + static_cast<std::uint64_t>(GetParam()), n_vars, n_rows);
+void expect_matches_brute_force(const RandomMilp& r) {
+  const std::size_t n_vars = r.objective.size();
   const auto [feasible, best] = brute_force(r, n_vars);
   const MipResult result = solve(r.model);
   if (!feasible) {
@@ -103,7 +130,7 @@ TEST_P(BnbVsBruteForce, StatusAndOptimumMatch) {
     return;
   }
   ASSERT_EQ(result.status, MipStatus::Optimal)
-      << "vars " << n_vars << " rows " << n_rows;
+      << "vars " << n_vars << " rows " << r.row_coeffs.size();
   EXPECT_NEAR(result.objective, best, 1e-6);
   // The incumbent must be binary and satisfy every row.
   for (std::size_t j = 0; j < n_vars; ++j) {
@@ -116,6 +143,22 @@ TEST_P(BnbVsBruteForce, StatusAndOptimumMatch) {
     EXPECT_GE(ax, r.row_lo[row] - 1e-6);
     EXPECT_LE(ax, r.row_hi[row] + 1e-6);
   }
+}
+
+class BnbVsBruteForce : public ::testing::TestWithParam<int> {};
+
+TEST_P(BnbVsBruteForce, StatusAndOptimumMatch) {
+  const std::size_t n_vars = 4 + static_cast<std::size_t>(GetParam()) % 7;
+  const std::size_t n_rows = 1 + static_cast<std::size_t>(GetParam()) % 4;
+  expect_matches_brute_force(make_random_binary_milp(
+      31000 + static_cast<std::uint64_t>(GetParam()), n_vars, n_rows));
+}
+
+TEST_P(BnbVsBruteForce, KnapsackOptimumMatches) {
+  const std::size_t n_vars = 8 + static_cast<std::size_t>(GetParam()) % 3;
+  const std::size_t n_rows = 1 + static_cast<std::size_t>(GetParam()) % 2;
+  expect_matches_brute_force(make_random_knapsack(
+      32000 + static_cast<std::uint64_t>(GetParam()), n_vars, n_rows));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BnbVsBruteForce, ::testing::Range(0, 40));

@@ -1,9 +1,8 @@
 // Determinism and robustness of the parallel, warm-started branch &
-// bound (ISSUE 5).  The contract under test:
+// bound.  The contract under test:
 //
-//   * With zero gap tolerances and most-fractional branching, the final
-//     optimal objective and proven bound are *bit-identical* across any
-//     jobs count — parallel exploration may visit a different set of
+//   * With zero gap tolerances, the final optimal objective and proven
+//     bound are *bit-identical* across any jobs count — parallel exploration may visit a different set of
 //     nodes, but every pruned subtree is dominated by the incumbent, so
 //     the returned optimum cannot depend on scheduling.
 //   * Warm starts change the pivot paths (hence the tree), never the
@@ -77,13 +76,12 @@ struct LotSizing {
   }
 };
 
-// Zero gap margins + most-fractional branching: the settings under
-// which the final objective is exploration-order independent.
+// Zero gap margins: the setting under which the final objective is
+// exploration-order independent.
 BnbOptions exact_options() {
   BnbOptions opt;
   opt.absolute_gap = 0.0;
   opt.relative_gap = 0.0;
-  opt.branching = Branching::MostFractional;
   return opt;
 }
 
@@ -117,22 +115,6 @@ TEST(ParallelBnb, BitIdenticalObjectiveAcrossJobCounts) {
   // The suite must actually exercise multi-node parallel trees, not
   // just root solves.
   EXPECT_GT(parallel_multinode, 10u);
-}
-
-TEST(ParallelBnb, DepthFirstAlsoDeterministicAcrossJobs) {
-  rrp::Rng rng(7);
-  for (int trial = 0; trial < 12; ++trial) {
-    LotSizing inst(rng);
-    BnbOptions opt = exact_options();
-    opt.node_selection = NodeSelection::DepthFirst;
-    opt.jobs = 1;
-    const MipResult serial = solve(inst.model, opt);
-    ASSERT_EQ(serial.status, MipStatus::Optimal);
-    opt.jobs = 8;
-    const MipResult parallel = solve(inst.model, opt);
-    ASSERT_EQ(parallel.status, MipStatus::Optimal);
-    EXPECT_EQ(parallel.objective, serial.objective) << "trial " << trial;
-  }
 }
 
 TEST(ParallelBnb, WarmStartsMatchColdSolvesAndAreCounted) {
