@@ -54,6 +54,7 @@ struct Record {
   bool has_tree_stats = false;
   std::size_t nodes = 0;
   std::size_t pivots = 0;  ///< node-LP simplex pivots of one solve
+  std::size_t refactorizations = 0;  ///< sparse LU rebuilds of one solve
   double nodes_per_second = 0.0;
   double warm_hit_rate = 0.0;
   // Root-cut and sparse-LU factorisation telemetry.
@@ -72,7 +73,7 @@ std::string fmt(double v) {
 void write_json(const std::vector<Record>& records, double srrp_warm_speedup,
                 std::ostream& out) {
   out << "{\n";
-  out << "  \"schema\": \"rrp-bench-solvers-v4\",\n";
+  out << "  \"schema\": \"rrp-bench-solvers-v5\",\n";
   out << "  \"repeats\": " << kRepeats << ",\n";
   // Full registry snapshot after all measured solves: counters for
   // pivots, refactorisations, nodes, cuts, recoveries and friends.
@@ -86,6 +87,7 @@ void write_json(const std::vector<Record>& records, double srrp_warm_speedup,
         << fmt(r.median_seconds);
     if (r.has_tree_stats) {
       out << ", \"nodes\": " << r.nodes << ", \"pivots\": " << r.pivots
+          << ", \"refactorizations\": " << r.refactorizations
           << ", \"nodes_per_second\": " << fmt(r.nodes_per_second)
           << ", \"warm_hit_rate\": " << fmt(r.warm_hit_rate)
           << ", \"cuts_added\": " << r.cuts_added
@@ -124,8 +126,8 @@ core::DrrpInstance drrp_instance(std::size_t horizon) {
   return inst;
 }
 
-core::SrrpInstance srrp_instance(std::size_t width) {
-  Rng rng(13);
+core::SrrpInstance srrp_instance(std::size_t width, std::uint64_t seed = 13) {
+  Rng rng(seed);
   std::vector<double> history;
   for (int i = 0; i < 1000; ++i)
     history.push_back(0.05 + 0.03 * rng.uniform());
@@ -162,6 +164,7 @@ Record bench_milp(std::string name, Solve&& solve) {
     cold = r.cold_solved_nodes;
     rec.cuts_added = r.cuts_added;
     rec.root_gap_closed = r.root_gap_closed;
+    rec.refactorizations = r.factor_stats.refactorizations;
     rec.mean_fill_ratio = r.factor_stats.mean_fill_ratio();
     rec.refactor_cadence = r.factor_stats.refactor_cadence();
   });
@@ -176,6 +179,7 @@ Record bench_milp(std::string name, Solve&& solve) {
       lps > 0 ? static_cast<double>(warm) / static_cast<double>(lps) : 0.0;
   std::cerr << rec.name << ": " << fmt(rec.median_seconds * 1e3) << " ms, "
             << nodes << " nodes, " << rec.pivots << " pivots, "
+            << rec.refactorizations << " refactorizations, "
             << fmt(rec.nodes_per_second)
             << " nodes/s, warm " << fmt(100.0 * rec.warm_hit_rate)
             << "%, cuts " << rec.cuts_added << " (gap closed "
@@ -283,6 +287,18 @@ int main() {
       records.push_back(std::move(rec));
     }
     ++width_count;
+  }
+  // SRRP solved to optimality with the production options (jobs = 1,
+  // root cuts on) on an instance whose cuts leave a real tree:
+  // deterministic node and refactorisation counts, gated by max_nodes /
+  // max_refactorizations caps.  A factor rebuilt for every node solve
+  // shows as a multiple of the refactorisation count.
+  {
+    const auto inst = srrp_instance(4, 15);
+    records.push_back(bench_milp("srrp_aggregated_w4_opt", [&] {
+      return core::solve_srrp(inst, opt_options(true),
+                              core::SrrpFormulation::Aggregated);
+    }));
   }
   {
     const auto inst = srrp_instance(3);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,18 @@ namespace rrp::lp {
 
 namespace {
 constexpr double kPivotTol = 1e-9;
+/// install_basis() moves the current factor onto a start basis by
+/// column replacement when at most m / kReplaceShare positions differ;
+/// beyond that one fresh factorisation is cheaper than the FTRANs and
+/// the eta fill the replacements would cost.
+constexpr std::size_t kReplaceShare = 8;
+/// A replacement pivot below this fraction of its FTRAN column's
+/// largest entry would amplify rounding through the eta file, so the
+/// install falls back to a fresh factorisation instead.
+constexpr double kReplacePivotRatio = 1e-6;
+/// Relative residual of B x_B + sum_nonbasic A_j v_j = 0 beyond which
+/// the end of a solve refactorises and recomputes x_B.
+constexpr double kResidualTol = 1e-9;
 
 // Factorisation telemetry feeds the registry through these cached
 // accessors rather than the macros: several sites share each counter,
@@ -86,6 +99,41 @@ void SimplexSolver::set_objective(std::size_t j, double coeff) {
   obj_[j] = coeff;
 }
 
+void SimplexSolver::add_row(const Row& row) {
+  RRP_EXPECTS(row.lo <= row.hi);
+  const std::size_t r = m_;
+  for (const Entry& e : row.entries) {
+    RRP_EXPECTS(e.col < n_);
+    cols_[e.col].push_back(Entry{r, e.coeff});
+  }
+  // The new slack takes index n_ + r, after every existing column, and
+  // enters the basis at the new position r: the extended basis is block
+  // triangular, so it stays nonsingular, and every reduced cost is
+  // unchanged, so an optimal basis stays dual feasible.  A current
+  // factor is bordered with the row's coefficients on the basic
+  // columns, the last entry of each column that has one in row r.
+  if (factor_current_) {
+    border_.clear();
+    for (std::size_t pos = 0; pos < m_; ++pos) {
+      const std::vector<Entry>& col = cols_[basis_[pos]];
+      if (!col.empty() && col.back().col == r)
+        border_.push_back(Entry{pos, col.back().coeff});
+    }
+    lu_.append_row(border_);
+  }
+  cols_.push_back({Entry{r, -1.0}});
+  lb_.push_back(row.lo);
+  ub_.push_back(row.hi);
+  status_.push_back(BasisStatus::Basic);
+  value_.push_back(0.0);
+  basis_.push_back(n_ + r);
+  ++m_;
+  ++total_;
+  for (std::vector<double>* v : {&xb_, &w_, &y_, &rho_, &rhs_})
+    v->resize(m_);
+  cost_.push_back(0.0);
+}
+
 void SimplexSolver::ftran(std::size_t j) const {
   // w = Binv * A_j, via the sparse solve B w = A_j.
   std::fill(w_.begin(), w_.end(), 0.0);
@@ -139,6 +187,23 @@ void SimplexSolver::recompute_basic_values() {
   }
   xb_ = rhs_;
   lu_.ftran(xb_);
+}
+
+bool SimplexSolver::basic_values_accurate() const {
+  // rhs_ still holds -sum_nonbasic A_j v_j from recompute_basic_values(),
+  // so the residual of the system is B x_B - rhs_.
+  std::fill(w_.begin(), w_.end(), 0.0);
+  double scale = 0.0;
+  for (std::size_t pos = 0; pos < m_; ++pos) {
+    scale = std::max(scale, std::fabs(xb_[pos]));
+    for (const Entry& e : cols_[basis_[pos]]) w_[e.col] += e.coeff * xb_[pos];
+  }
+  double residual = 0.0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    scale = std::max(scale, std::fabs(rhs_[i]));
+    residual = std::max(residual, std::fabs(w_[i] - rhs_[i]));
+  }
+  return residual <= kResidualTol * (1.0 + scale);
 }
 
 void SimplexSolver::check_basis() const {
@@ -522,9 +587,27 @@ Solution SimplexSolver::finish_primal() {
   if (pr == PhaseResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
   if (pr == PhaseResult::Unbounded) return stopped(SolveStatus::Unbounded);
 
-  refactorize();
+  // Final x_B through the factor and eta file the pivots left behind; a
+  // fresh factorisation only when the residual shows they have drifted.
+  recompute_basic_values();
+  if (!basic_values_accurate()) refactorize();
   check_basis();
   check_optimality(cost);
+  last_optimal_ = true;
+  factor_current_ = true;
+  return optimal_solution(cost);
+}
+
+Solution SimplexSolver::refactored_solution() {
+  if (m_ == 0) return solve_bound_only();
+  RRP_EXPECTS(last_optimal_);
+  factor_current_ = false;  // until the factorisation below succeeds
+  refactorize();
+  factor_current_ = true;
+  return optimal_solution(model_cost());
+}
+
+Solution SimplexSolver::optimal_solution(const std::vector<double>& cost) {
   Solution sol = stopped(SolveStatus::Optimal);
   sol.x.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
@@ -539,7 +622,6 @@ Solution SimplexSolver::finish_primal() {
   sol.reduced_costs.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
     sol.reduced_costs[j] = reduced_cost(j, cost);
-  last_optimal_ = true;
   return sol;
 }
 
@@ -599,7 +681,65 @@ Solution SimplexSolver::cold_solve() {
   return finish_primal();
 }
 
-bool SimplexSolver::install_basis(const Basis& start) {
+bool SimplexSolver::replace_columns(const std::vector<std::size_t>& target) {
+  std::vector<std::size_t>& pending = replace_pending_;
+  pending.clear();
+  for (std::size_t pos = 0; pos < m_; ++pos)
+    if (target[pos] != basis_[pos]) pending.push_back(pos);
+  if (pending.size() > m_ / kReplaceShare ||
+      pivots_since_refactor_ + pending.size() >= opt_->refactor_every)
+    return false;
+  // FTRAN every entering column once; column k belongs to pending[k],
+  // which is set to m_ once its position has been replaced.
+  std::vector<double>& cols = replace_cols_;
+  cols.resize(pending.size() * m_);
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    ftran(target[pending[k]]);
+    std::copy(w_.begin(), w_.end(), cols.begin() + k * m_);
+  }
+  // Each pass replaces every position whose pivot is usable and defers
+  // the rest: a column may only be able to enter once another position
+  // has been replaced (one still basic elsewhere has a zero pivot).  The
+  // columns still waiting are brought through each new eta exactly as
+  // FTRAN would replay it.  A pass without progress, e.g. two swapped
+  // columns, leaves the install to a fresh factorisation.
+  for (std::size_t left = pending.size(); left > 0;) {
+    const std::size_t before = left;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+      const std::size_t pos = pending[k];
+      if (pos == m_) continue;
+      const std::span<const double> w(cols.data() + k * m_, m_);
+      double wmax = 0.0;
+      for (double v : w) wmax = std::max(wmax, std::fabs(v));
+      const double piv = w[pos];
+      if (std::fabs(piv) < kPivotTol ||
+          std::fabs(piv) < kReplacePivotRatio * wmax)
+        continue;
+      lu_.update(pos, w);
+      basis_[pos] = target[pos];
+      pending[k] = m_;
+      --left;
+      ++factor_stats_.eta_updates;
+      eta_updates_counter().add(1);
+      ++pivots_since_refactor_;
+      if (lu_.eta_nonzeros() > eta_nnz_cap_) return false;
+      for (std::size_t q = 0; q < pending.size(); ++q) {
+        if (pending[q] == m_) continue;
+        double* u = cols.data() + q * m_;
+        const double t = u[pos];
+        if (t == 0.0) continue;
+        const double scaled = t / piv;
+        for (std::size_t i = 0; i < m_; ++i)
+          if (i != pos && w[i] != 0.0) u[i] -= w[i] * scaled;
+        u[pos] = scaled;
+      }
+    }
+    if (left == before) return false;
+  }
+  return true;
+}
+
+bool SimplexSolver::install_basis(const Basis& start, bool factor_current) {
   if (start.basic.size() != m_ || start.status.size() != total_) return false;
   // Structural consistency: basic entries distinct, in range, and
   // agreeing with the status vector.
@@ -631,6 +771,11 @@ bool SimplexSolver::install_basis(const Basis& start) {
       case BasisStatus::AtUpper: value_[j] = ub_[j]; break;
       default: value_[j] = 0.0; break;
     }
+  }
+  if (factor_current && replace_columns(start.basic)) {
+    recompute_basic_values();  // the nonbasic values were just re-set
+    check_basis();  // the replaced factor must still invert the basis
+    return true;
   }
   std::copy(start.basic.begin(), start.basic.end(), basis_.begin());
   try {
@@ -677,6 +822,7 @@ Solution SimplexSolver::solve_bound_only() const {
 Solution SimplexSolver::solve(const SimplexOptions& options) {
   last_warm_ = false;
   last_optimal_ = false;
+  factor_current_ = false;
   iterations_ = 0;
   if (options.fault_injector != nullptr &&
       options.fault_injector->consume_lp_fault()) {
@@ -690,8 +836,12 @@ Solution SimplexSolver::solve(const SimplexOptions& options) {
 
 Solution SimplexSolver::solve_from(const Basis& start,
                                    const SimplexOptions& options) {
+  // Only a solve that ends Optimal sets factor_current_ again, so a stop
+  // on a limit or a throw anywhere below leaves the factor unusable.
+  const bool factor_current = factor_current_;
   last_warm_ = false;
   last_optimal_ = false;
+  factor_current_ = false;
   iterations_ = 0;
   if (options.fault_injector != nullptr &&
       options.fault_injector->consume_lp_fault()) {
@@ -700,10 +850,13 @@ Solution SimplexSolver::solve_from(const Basis& start,
   if (options.deadline.expired()) return stopped(SolveStatus::TimeLimit);
   if (m_ == 0) return solve_bound_only();
   opt_ = &options;
-  if (start.empty() || !install_basis(start)) return cold_solve();
+  if (start.empty()) return cold_solve();
 
+  // Opened before the install, so its column-replacement FTRANs count
+  // as warm-solve time; a fallback's lp.cold_solve span nests inside.
   RRP_TRACE_SPAN("lp.warm_solve");
   RRP_TRACE_ARG("rows", m_);
+  if (!install_basis(start, factor_current)) return cold_solve();
   // Re-optimise: dual simplex restores primal feasibility (bound changes
   // leave the parent basis dual feasible), then the primal loop cleans
   // up any residual dual infeasibility (objective edits).  Numerical

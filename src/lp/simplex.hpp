@@ -10,13 +10,39 @@
 // objective from the same basis, and the primal simplex optimises from
 // the feasible vertex it reaches.  Either way a primal loop closes the
 // solve; after a dual-feasible start it is a single pricing pass that
-// confirms optimality.  The basis is held as a sparse LU factorisation
-// (lp::SparseLu) with product-form eta updates per pivot; FTRAN/BTRAN
-// are sparse triangular solves, and refactorisation is triggered by
-// eta-file fill-in and a dual-pivot accuracy check in addition to the
-// SimplexOptions::refactor_every pivot cap.  Both loops switch to
-// Bland's least-index rule during stalls (or throughout under
-// Pricing::Bland) to guarantee finiteness under degeneracy.
+// confirms optimality.  Both loops switch to Bland's least-index rule
+// during stalls (or throughout under Pricing::Bland) to guarantee
+// finiteness under degeneracy.
+//
+// The basis is held as a sparse LU factorisation (lp::SparseLu) with
+// product-form eta updates per pivot; FTRAN/BTRAN are sparse triangular
+// solves.  The factor and its eta file live across solves.  A fresh
+// factorisation happens only:
+//
+//   * at the all-slack basis of a cold solve;
+//   * when the SimplexOptions::refactor_every update cap or the eta-file
+//     fill cap is reached (replacement updates at install count too);
+//   * when the dual simplex's accuracy check sees the FTRAN pivot and
+//     the BTRAN row disagree;
+//   * at the end of a solve, only if the residual of
+//     B x_B + sum_nonbasic A_j v_j = 0, with x_B recomputed through the
+//     current factor, shows drift;
+//   * when a warm start cannot be installed by column replacement (see
+//     below).
+//
+// add_row borders a current factor with the new row instead (the new
+// slack is basic at a new last position), so appending rows needs no
+// refactorisation.
+//
+// A warm start is installed by column replacement: each basis position
+// where the start differs from the current basis costs one FTRAN and
+// one eta update, in an order that keeps every replacement pivot usable.
+// The install falls back to a fresh factorisation when more than m/8
+// positions differ, no order avoids a too-small pivot (a singular
+// intermediate basis), a cap would be crossed, or the factor is not
+// known to match the current basis — it is known only after a solve
+// that ended Optimal, and any stop on a limit, infeasibility or throw
+// forgets it.
 //
 // Two entry points share that engine:
 //
@@ -25,17 +51,18 @@
 //   * `SimplexSolver` — a persistent solver object that keeps the
 //     column structure, factorised basis and preallocated work buffers
 //     alive across calls, supports `set_variable_bounds` /
-//     `set_objective` without rebuilding the model, and can re-optimise
-//     from a caller-supplied starting basis (`solve_from`).  A bound
-//     change against an optimal parent basis leaves the basis dual
-//     feasible, so re-optimisation runs the dual simplex until primal
-//     feasibility is restored and finishes with (usually zero) primal
-//     pivots — the warm-start path under rrp::milp's branch & bound.
-//     Primal pivots do real work there only after `set_objective` edits
-//     that break dual feasibility.  Any structural or numerical trouble
-//     with the starting basis (wrong shape, singular factorisation,
-//     running out of iterations) silently falls back to a cold solve,
-//     so `solve_from` is never less robust than `solve`.
+//     `set_objective` / `add_row` without rebuilding the model, and can
+//     re-optimise from a caller-supplied starting basis (`solve_from`).
+//     A bound change against an optimal parent basis leaves the basis
+//     dual feasible, so re-optimisation runs the dual simplex until
+//     primal feasibility is restored and finishes with (usually zero)
+//     primal pivots — the warm-start path under rrp::milp's branch &
+//     bound.  Primal pivots do real work there only after
+//     `set_objective` edits that break dual feasibility.  Any
+//     structural or numerical trouble with the starting basis (wrong
+//     shape, singular factorisation, running out of iterations)
+//     silently falls back to a cold solve, so `solve_from` is never
+//     less robust than `solve`.
 //
 // This is the LP engine under rrp::milp's branch & bound, which in turn
 // solves the paper's DRRP and SRRP mixed-integer programs.
@@ -171,6 +198,14 @@ class SimplexSolver {
   void set_objective(std::size_t j, double coeff);
   double objective_coefficient(std::size_t j) const { return obj_[j]; }
 
+  /// Appends the ranged row `row.lo <= row . x <= row.hi` over the
+  /// structural columns (entries with distinct columns, as
+  /// LinearProgram::add_row stores them).  Its slack is column
+  /// num_variables() + num_rows() - 1 and enters basis() as basic, so
+  /// after an Optimal solve basis() is a dual-feasible start for
+  /// solve_from on the extended program.
+  void add_row(const Row& row);
+
   /// Cold solve from the all-slack basis, identical in behaviour to the
   /// free solve() function: the dual simplex when that start is dual
   /// feasible, else a zero-objective dual feasibility pass followed by
@@ -186,8 +221,18 @@ class SimplexSolver {
   /// reports which path produced the returned solution.
   Solution solve_from(const Basis& start, const SimplexOptions& options = {});
 
-  /// Basis of the most recent Optimal solve, or an empty basis when the
-  /// last solve did not finish Optimal.
+  /// The most recent Optimal solution re-derived from a fresh
+  /// factorisation of its basis.  A solve reuses the factor its
+  /// predecessors left, so the last bits of its answer depend on them;
+  /// this answer depends only on the basis, the bounds and the
+  /// objective.  Requires the last solve to have ended Optimal; throws
+  /// rrp::NumericalError if the fresh factorisation finds the basis
+  /// singular.
+  Solution refactored_solution();
+
+  /// Basis of the most recent Optimal solve (extended by the slacks of
+  /// any rows added since), or an empty basis when the last solve did
+  /// not finish Optimal.
   Basis basis() const;
 
   /// True when the last solve() / solve_from() answered from the
@@ -203,17 +248,29 @@ class SimplexSolver {
 
   Solution solve_bound_only() const;  ///< closed form for m_ == 0
   Solution cold_solve();
-  bool install_basis(const Basis& start);
+  /// Installs `start` as the basis and its factor: by column replacement
+  /// in the current factor when `factor_current` says it matches basis_
+  /// and replace_columns() succeeds, else by a fresh factorisation.
+  bool install_basis(const Basis& start, bool factor_current);
+  /// Product-form replacement of each basis position where `target`
+  /// differs from basis_.  False when too many differ, a cap would be
+  /// crossed or no remaining position has a usable pivot; basis_ may
+  /// then be half replaced.
+  bool replace_columns(const std::vector<std::size_t>& target);
   /// `bland` pins the least-index rule for the whole run.
   DualResult run_dual(const std::vector<double>& cost, std::size_t max_iters,
                       bool bland);
   PhaseResult run_phase(const std::vector<double>& cost,
                         std::size_t max_iters);
   Solution finish_primal();
+  /// Reads x, objective, duals and reduced costs off an optimal basis.
+  Solution optimal_solution(const std::vector<double>& cost);
   Solution stopped(SolveStatus status) const;  ///< status + iterations only
   const std::vector<double>& model_cost();
   void refactorize();
   void recompute_basic_values();
+  /// Residual check of recompute_basic_values()'s x_B (uses w_).
+  bool basic_values_accurate() const;
   void compute_duals(const std::vector<double>& cost) const;  ///< into y_
   double reduced_cost(std::size_t j, const std::vector<double>& cost) const;
   void ftran(std::size_t j) const;  ///< Binv * A_j into w_
@@ -244,6 +301,9 @@ class SimplexSolver {
   std::size_t iterations_ = 0;
   bool last_optimal_ = false;
   bool last_warm_ = false;
+  /// lu_ (with its eta file) factorises basis_.  Set only when a solve
+  /// ends Optimal; cleared on entry to every solve.
+  bool factor_current_ = false;
   const SimplexOptions* opt_ = nullptr;  ///< options of the active solve
 
   // Preallocated work buffers (one allocation for the solver lifetime).
@@ -252,6 +312,10 @@ class SimplexSolver {
   std::vector<double> rho_;        ///< btran of a unit vector (dual row)
   std::vector<double> rhs_;
   std::vector<double> cost_;       ///< model cost cache (min sense)
+  // replace_columns() scratch: differing positions, their FTRANed columns.
+  std::vector<std::size_t> replace_pending_;
+  std::vector<double> replace_cols_;
+  std::vector<Entry> border_;  ///< add_row(): new row by basis position
 };
 
 }  // namespace rrp::lp

@@ -23,7 +23,7 @@ void SparseLu::factorize(std::size_t m,
                          std::span<const std::size_t> basis) {
   m_ = m;
   etas_.clear();
-  eta_nnz_ = 0;
+  eta_entries_.clear();
   row_of_step_.assign(m, m);
   col_of_step_.assign(m, m);
   step_of_row_.assign(m, m);
@@ -142,19 +142,33 @@ void SparseLu::ftran(std::vector<double>& x) const {
   // Scatter to basis-position space and replay the eta file forward.
   for (std::size_t k = 0; k < m_; ++k) x[col_of_step_[k]] = work_[k];
   for (const Eta& e : etas_) {
+    if (e.row) {
+      for (std::size_t k = e.begin; k < e.end; ++k)
+        x[e.pos] += eta_entries_[k].coeff * x[eta_entries_[k].col];
+      continue;
+    }
     const double t = x[e.pos];
     if (t == 0.0) continue;
     const double scaled = t / e.pivot;
     x[e.pos] = scaled;
-    for (const Entry& en : e.entries) x[en.col] -= en.coeff * scaled;
+    for (std::size_t k = e.begin; k < e.end; ++k)
+      x[eta_entries_[k].col] -= eta_entries_[k].coeff * scaled;
   }
 }
 
 void SparseLu::btran(std::vector<double>& y) const {
   // Eta transposes apply in reverse order; each touches one component.
   for (auto it = etas_.rbegin(); it != etas_.rend(); ++it) {
+    if (it->row) {
+      const double t = y[it->pos];
+      if (t == 0.0) continue;
+      for (std::size_t k = it->begin; k < it->end; ++k)
+        y[eta_entries_[k].col] += eta_entries_[k].coeff * t;
+      continue;
+    }
     double s = y[it->pos];
-    for (const Entry& en : it->entries) s -= en.coeff * y[en.col];
+    for (std::size_t k = it->begin; k < it->end; ++k)
+      s -= eta_entries_[k].coeff * y[eta_entries_[k].col];
     y[it->pos] = s / it->pivot;
   }
   // Permute c into step space.
@@ -175,16 +189,40 @@ void SparseLu::btran(std::vector<double>& y) const {
   for (std::size_t k = 0; k < m_; ++k) y[row_of_step_[k]] = work_[k];
 }
 
-void SparseLu::update(std::size_t pos, const std::vector<double>& w) {
+void SparseLu::update(std::size_t pos, std::span<const double> w) {
   Eta eta;
   eta.pos = pos;
   eta.pivot = w[pos];
+  eta.begin = eta_entries_.size();
   for (std::size_t i = 0; i < m_; ++i) {
     if (i == pos || w[i] == 0.0) continue;
-    eta.entries.push_back(Entry{i, w[i]});
+    eta_entries_.push_back(Entry{i, w[i]});
   }
-  eta_nnz_ += eta.entries.size();
-  etas_.push_back(std::move(eta));
+  eta.end = eta_entries_.size();
+  etas_.push_back(eta);
+}
+
+void SparseLu::append_row(std::span<const Entry> row) {
+  // [[B, 0], [r^T, -1]] = [[B, 0], [0, -1]] * [[I, 0], [-r^T, 1]]: the
+  // first factor is the current one plus a diagonal step, the second a
+  // row eta whose inverse [[I, 0], [r^T, 1]] FTRAN applies in order.
+  const std::size_t p = m_++;
+  row_of_step_.push_back(p);
+  col_of_step_.push_back(p);
+  step_of_row_.push_back(p);
+  lcols_.emplace_back();
+  ucols_.emplace_back();
+  udiag_.push_back(-1.0);
+  work_.push_back(0.0);
+  ++base_nnz_;
+  ++factor_nnz_;
+  Eta eta;
+  eta.pos = p;
+  eta.row = true;
+  eta.begin = eta_entries_.size();
+  eta_entries_.insert(eta_entries_.end(), row.begin(), row.end());
+  eta.end = eta_entries_.size();
+  etas_.push_back(eta);
 }
 
 }  // namespace rrp::lp

@@ -19,7 +19,13 @@
 //     product-form eta file.
 //   * update() appends one eta matrix per basis exchange (the
 //     product-form of the inverse), so a pivot costs O(nnz(w)) instead
-//     of a dense O(m^2) row transformation.
+//     of a dense O(m^2) row transformation.  All etas share one entry
+//     array, each owning a [begin, end) slice of it, so the file grows
+//     by amortised appends rather than one allocation per pivot.
+//   * append_row() borders the factor with a new row whose slack is
+//     basic at a new last position: the factor gains a diagonal -1
+//     step and the eta file a row eta (the row's coefficients on the
+//     basic columns), so cut rows need no refactorisation.
 //
 // The owner (lp::SimplexSolver) decides *when* to refactorise; the
 // fill/accuracy counters exposed here (eta_nonzeros, fill_ratio) feed
@@ -55,7 +61,14 @@ class SparseLu {
   /// Appends the product-form eta for replacing basis position `pos`
   /// with a column whose FTRAN image is `w` (dense, size m).  Requires
   /// |w[pos]| > 0; the caller checks pivot magnitude before committing.
-  void update(std::size_t pos, const std::vector<double>& w);
+  void update(std::size_t pos, std::span<const double> w);
+
+  /// Extends B to [[B, 0], [r^T, -1]]: one new row, and a new basis
+  /// position m holding that row's slack column (-1 in the new row
+  /// only).  `row` lists r, the new row's coefficient on each existing
+  /// basis position (Entry::col is a position).  Nonsingular whenever B
+  /// is, so it never fails.
+  void append_row(std::span<const Entry> row);
 
   std::size_t size() const { return m_; }
   bool factorized() const { return m_ > 0 && udiag_.size() == m_; }
@@ -63,7 +76,7 @@ class SparseLu {
   /// Eta matrices appended since the last factorize().
   std::size_t eta_count() const { return etas_.size(); }
   /// Total off-pivot nonzeros across the eta file (fill proxy).
-  std::size_t eta_nonzeros() const { return eta_nnz_; }
+  std::size_t eta_nonzeros() const { return eta_entries_.size(); }
   /// nnz(L + U) / nnz(B) of the last factorisation (>= 1; 0 before the
   /// first factorize).
   double fill_ratio() const {
@@ -74,10 +87,16 @@ class SparseLu {
   std::size_t factor_nonzeros() const { return factor_nnz_; }
 
  private:
+  /// One eta matrix; its off-pivot entries (position, w_i), i != pos,
+  /// are eta_entries_[begin, end).  A row eta (from append_row) holds
+  /// the new row's coefficients instead and adds their dot product with
+  /// x to x[pos] in FTRAN.
   struct Eta {
-    std::size_t pos = 0;          ///< pivotal basis position
-    double pivot = 0.0;           ///< w[pos]
-    std::vector<Entry> entries;   ///< (position, w_i) for i != pos
+    std::size_t pos = 0;  ///< pivotal basis position
+    double pivot = 0.0;   ///< w[pos]; unused by a row eta
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool row = false;
   };
 
   std::size_t m_ = 0;
@@ -91,7 +110,7 @@ class SparseLu {
   std::vector<std::vector<Entry>> ucols_;
   std::vector<double> udiag_;
   std::vector<Eta> etas_;
-  std::size_t eta_nnz_ = 0;
+  std::vector<Entry> eta_entries_;  ///< every eta's entries, in order
   std::size_t base_nnz_ = 0;
   std::size_t factor_nnz_ = 0;
   mutable std::vector<double> work_;  ///< step-space scratch for solves

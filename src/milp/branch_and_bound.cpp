@@ -173,15 +173,18 @@ class Solver {
 #endif
   }
 
-  /// Root cut loop: solve the root relaxation, separate violated valid
-  /// inequalities, append them as rows, and re-optimise from the
-  /// extended parent basis (new cut slacks enter basic — the extension
-  /// is block triangular, hence nonsingular and dual feasible) until no
-  /// cut is violated or the round limit is hit.  Runs strictly before
-  /// any worker copies the relaxation.  Returns the final root basis
-  /// for seeding the tree (null when unusable) and sets `root_bound` to
-  /// the strengthened relaxation value (internal minimisation space).
-  std::shared_ptr<const lp::Basis> run_root_cuts(double& root_bound);
+  /// Root cut loop on `solver` (worker 0's, built over relaxation_):
+  /// solve the root relaxation, separate violated valid inequalities,
+  /// append them as rows to relaxation_ and to the solver in place, and
+  /// re-optimise from the extended parent basis (new cut slacks enter
+  /// basic — the extension is block triangular, hence nonsingular and
+  /// dual feasible) until no cut is violated or the round limit is hit.
+  /// Runs strictly before any other worker copies the relaxation.
+  /// Returns the final root basis for seeding the tree (null when
+  /// unusable) and sets `root_bound` to the strengthened relaxation
+  /// value (internal minimisation space).
+  std::shared_ptr<const lp::Basis> run_root_cuts(lp::SimplexSolver& solver,
+                                                 double& root_bound);
 
   // -- tree search ------------------------------------------------------
   void worker(std::size_t w, WorkerState& ws);
@@ -206,6 +209,14 @@ class Solver {
                     const std::vector<double>& x, const lp::Basis* start);
 
   void offer_incumbent(const std::vector<double>& x, double internal_obj);
+
+  /// Offers the worker's Optimal LP point `x` when it beats the
+  /// incumbent.  Node solves reuse the factor the worker's earlier solves
+  /// left, so the last bits of `x` depend on which nodes that worker saw;
+  /// the offered point is re-derived from a fresh factorisation of its
+  /// basis, which makes the incumbent, and the objective returned, the
+  /// same for every jobs count.
+  void offer_lp_point(WorkerState& ws, const std::vector<double>& x);
 
   double prune_margin(double incumbent) const {
     return std::max(opt_.absolute_gap,
@@ -278,12 +289,19 @@ class Solver {
   double root_cut_obj_ = kInf;  ///< root relaxation value after cuts
 };
 
-std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
+std::shared_ptr<const lp::Basis> Solver::run_root_cuts(
+    lp::SimplexSolver& solver, double& root_bound) {
   RRP_TRACE_SPAN("bnb.root_cuts");
-  lp::SimplexSolver solver(relaxation_);
+  // Every round separates at the root point re-derived from a fresh
+  // factorisation, as incumbents are: the separator's alpha* < delta *
+  // chi* test meets exact ties at vertices and would flip on the last
+  // bits the factor history leaves, so this keeps the cut set a
+  // function of the root basis alone.
   lp::Solution sol;
   try {
     sol = solver.solve(lp_opt_);
+    if (sol.status == lp::SolveStatus::Optimal)
+      sol = solver.refactored_solution();
   } catch (const NumericalError&) {
     return nullptr;
   }
@@ -297,12 +315,11 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
     RRP_TRACE_ARG("round", round);
     const std::vector<Cut> cuts =
         opt_.cut_generator->separate(sol.x, kCutViolationTol);
-    const std::size_t old_rows = relaxation_.num_rows();
-    lp::Basis parent = solver.basis();
     std::size_t added = 0;
     for (const Cut& c : cuts) {
       if (!pool.add(c)) continue;
-      relaxation_.add_row(c.entries, c.lo, c.hi);
+      const std::size_t r = relaxation_.add_row(c.entries, c.lo, c.hi);
+      solver.add_row(relaxation_.row(r));
       ++added;
     }
     RRP_TRACE_ARG("added", added);
@@ -312,21 +329,12 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(double& root_bound) {
                   {{"round", static_cast<std::uint64_t>(round)},
                    {"added", static_cast<std::uint64_t>(added)}});
 
-    // Rebuild the solver over the extended program; the parent basis
-    // plus the new cut slacks (basic) warm starts the dual simplex.
-    solver = lp::SimplexSolver(relaxation_);
-    lp::Basis start;
-    if (!parent.empty()) {
-      const std::size_t n = model_.num_variables();
-      start = std::move(parent);
-      for (std::size_t r = old_rows; r < relaxation_.num_rows(); ++r) {
-        start.basic.push_back(n + r);
-        start.status.push_back(lp::BasisStatus::Basic);
-      }
-    }
+    // The cut rows were appended to the solver in place; the parent
+    // basis plus the new cut slacks (basic) warm starts the dual simplex.
     try {
-      sol = start.empty() ? solver.solve(lp_opt_)
-                          : solver.solve_from(start, lp_opt_);
+      sol = solver.solve_from(solver.basis(), lp_opt_);
+      if (sol.status == lp::SolveStatus::Optimal)
+        sol = solver.refactored_solution();
     } catch (const NumericalError&) {
       usable = false;  // the added rows stay (they are valid); bound from
       break;           // the weaker relaxation remains proven
@@ -464,6 +472,21 @@ void Solver::offer_incumbent(const std::vector<double>& x,
 #endif
 }
 
+void Solver::offer_lp_point(WorkerState& ws, const std::vector<double>& x) {
+  if (sense_mult_ * model_.objective_value(x) >=
+      incumbent_atomic_.load(std::memory_order_relaxed))
+    return;
+  lp::Solution exact;
+  try {
+    exact = ws.solver.refactored_solution();
+  } catch (const NumericalError&) {
+    // A basis the eta file handled but a fresh factorisation calls
+    // singular: the solve's own point passed its residual check.
+    exact.x = x;
+  }
+  offer_incumbent(exact.x, sense_mult_ * model_.objective_value(exact.x));
+}
+
 void Solver::try_rounding(WorkerState& ws, const Node& node,
                           const std::vector<double>& x,
                           const lp::Basis* start) {
@@ -479,9 +502,7 @@ void Solver::try_rounding(WorkerState& ws, const Node& node,
   }
   lp::Solution sol = solve_with_recovery(ws, start);
   solve_counters().lp_iterations.add(sol.iterations);
-  if (sol.status == lp::SolveStatus::Optimal) {
-    offer_incumbent(sol.x, sense_mult_ * model_.objective_value(sol.x));
-  }
+  if (sol.status == lp::SolveStatus::Optimal) offer_lp_point(ws, sol.x);
 }
 
 void Solver::process_node(WorkerState& ws, Node& node,
@@ -546,7 +567,7 @@ void Solver::process_node(WorkerState& ws, Node& node,
 
   const std::size_t k = pick_branch_var(sol.x);
   if (k == int_vars_.size()) {
-    offer_incumbent(sol.x, node_obj);
+    offer_lp_point(ws, sol.x);
     return;
   }
 
@@ -668,12 +689,17 @@ MipResult Solver::run() {
   if (jobs == 0)
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-  // Strengthen the shared relaxation with root cuts before any worker
-  // copies it; the final root basis and bound seed the root node.
+  // Strengthen the shared relaxation with root cuts on worker 0's
+  // solver, before any other worker copies it; the final root basis and
+  // bound seed the root node, and worker 0 keeps the cut loop's factor.
+  std::vector<WorkerState> states;
+  states.reserve(jobs);
+  states.emplace_back(relaxation_);
   std::shared_ptr<const lp::Basis> root_start;
   double root_bound = -kInf;
   if (opt_.root_cuts && opt_.cut_generator != nullptr && !int_vars_.empty())
-    root_start = run_root_cuts(root_bound);
+    root_start = run_root_cuts(states[0].solver, root_bound);
+  for (std::size_t w = 1; w < jobs; ++w) states.emplace_back(relaxation_);
 
   {
     // No worker is running yet, but the frontier fields carry a
@@ -692,10 +718,6 @@ MipResult Solver::run() {
     push_locked(std::move(root));
     in_flight_.assign(jobs, kInf);
   }
-
-  std::vector<WorkerState> states;
-  states.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) states.emplace_back(relaxation_);
 
   if (jobs == 1) {
     worker(0, states[0]);

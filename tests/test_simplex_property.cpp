@@ -99,6 +99,51 @@ TEST_P(SimplexRandomProperty, DantzigAndBlandAgree) {
   }
 }
 
+// Factor reuse under the branch & bound access pattern: one persistent
+// solver re-optimises after random bound edits, each time from a basis
+// exported by some earlier solve, not only the latest, so the start is
+// installed by column replacement or by a fresh factorisation depending
+// on how far it lies from the solver's current basis.  Every answer must
+// carry a certificate and match a cold solve of the edited program.
+TEST_P(SimplexRandomProperty, WarmStartsFromEarlierBasesAreCertified) {
+  RandomLpParams p;
+  p.seed = 9000 + static_cast<std::uint64_t>(GetParam());
+  p.n_vars = 10 + static_cast<std::size_t>(GetParam()) % 11;
+  p.n_rows = 8 + static_cast<std::size_t>(GetParam()) % 13;
+  p.allow_equalities = GetParam() % 3 == 0;
+  const LinearProgram original = make_random_lp(p);
+  LinearProgram lp = original;
+  SimplexSolver solver(lp);
+  const Solution first = solver.solve();
+  ASSERT_EQ(first.status, SolveStatus::Optimal);
+  std::vector<Basis> bases = {solver.basis()};
+  rrp::Rng rng(p.seed + 1);
+  for (int step = 0; step < 16; ++step) {
+    // Every interval keeps its midpoint, where the rows are anchored,
+    // so the edited program stays feasible.
+    const auto j = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(p.n_vars) - 1));
+    const double lo0 = original.variable(j).lo;
+    const double hi0 = original.variable(j).hi;
+    const double mid = 0.5 * (lo0 + hi0);
+    const double lo = rng.uniform(lo0, mid);
+    const double hi = rng.uniform(mid, hi0);
+    solver.set_variable_bounds(j, lo, hi);
+    lp.set_variable_bounds(j, lo, hi);
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(bases.size()) - 1));
+    const Solution warm = solver.solve_from(bases[pick]);
+    const Solution cold = solve(lp);
+    ASSERT_EQ(warm.status, SolveStatus::Optimal) << "step " << step;
+    ASSERT_EQ(cold.status, SolveStatus::Optimal) << "step " << step;
+    EXPECT_TRUE(certified_optimum(lp, warm)) << "step " << step;
+    EXPECT_NEAR(warm.objective, cold.objective,
+                1e-9 * (1.0 + std::fabs(cold.objective)))
+        << "step " << step;
+    bases.push_back(solver.basis());
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexRandomProperty,
                          ::testing::Range(0, 40));
 

@@ -203,6 +203,49 @@ TEST(SparseLu, UpdateMatchesRefactorisation) {
   expect_solves_match(sys, fresh, probe2, 1e-8);
 }
 
+TEST(SparseLu, AppendedRowsMatchTheBorderedBasis) {
+  // Rows appended to an updated factor, then more updates in the grown
+  // space: every stage must solve like the dense bordered basis
+  // [[B, 0], [r^T, -1]], whose new column is the new row's slack.
+  rrp::Rng rng(314);
+  System sys = random_system(12, rng);
+  SparseLu lu;
+  lu.factorize(sys.m, sys.cols, sys.basis);
+  const auto replace = [&](std::size_t pos) {
+    std::vector<Entry> col{Entry{pos, rng.uniform(1.5, 2.5)},
+                           Entry{(pos + 5) % sys.m, rng.uniform(-1.0, 1.0)}};
+    std::vector<double> w(sys.m, 0.0);
+    for (const Entry& e : col) w[e.col] += e.coeff;
+    lu.ftran(w);
+    ASSERT_GT(std::fabs(w[pos]), 1e-9);
+    lu.update(pos, w);
+    sys.basis[pos] = sys.cols.size();
+    sys.cols.push_back(std::move(col));
+  };
+  replace(2);
+  replace(7);
+  for (int added = 0; added < 3; ++added) {
+    const std::size_t r = sys.m;
+    std::vector<Entry> border;  // by basis position
+    for (std::size_t pos = 0; pos < sys.m; pos += 3) {
+      const double c = rng.uniform(-2.0, 2.0);
+      border.push_back(Entry{pos, c});
+      sys.cols[sys.basis[pos]].push_back(Entry{r, c});
+    }
+    lu.append_row(border);
+    sys.basis.push_back(sys.cols.size());
+    sys.cols.push_back({Entry{r, -1.0}});
+    ++sys.m;
+    EXPECT_EQ(lu.size(), sys.m);
+    rrp::Rng probe(added);
+    expect_solves_match(sys, lu, probe, 1e-8);
+  }
+  replace(1);
+  replace(sys.m - 1);  // the last appended slack leaves the basis
+  rrp::Rng probe(9);
+  expect_solves_match(sys, lu, probe, 1e-8);
+}
+
 TEST(SparseLu, SingularBasisThrows) {
   System sys;
   sys.m = 3;

@@ -38,11 +38,22 @@ TEST(SpotTrace, AccessorsAndHourlyConversion) {
   EXPECT_DOUBLE_EQ(h[3], 0.07);
 }
 
+/// A temp CSV path owned by the running test.  ctest runs every case in
+/// a process of its own, several at once under -j, so a name shared by
+/// cases would let one case read the file another is writing.
+std::string test_csv_path() {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = std::string("rrp_trace_") + info->test_suite_name() +
+                     "_" + info->name() + ".csv";
+  std::replace(name.begin(), name.end(), '/', '_');
+  return ::testing::TempDir() + name;
+}
+
 /// Writes `content` to a temp CSV, expects load_csv to throw an
 /// InvalidArgument whose message contains `needle` (row/field naming).
 void expect_load_fails(const std::string& content,
                        const std::string& needle) {
-  const std::string path = ::testing::TempDir() + "rrp_trace_malformed.csv";
+  const std::string path = test_csv_path();
   {
     std::ofstream out(path);
     out << content;
@@ -103,7 +114,7 @@ TEST(SpotTraceCsvHardening, ErrorsNameRowAsInFile) {
 }
 
 TEST(SpotTraceCsvHardening, AcceptsHeaderlessAndEventColumns) {
-  const std::string path = ::testing::TempDir() + "rrp_trace_ok.csv";
+  const std::string path = test_csv_path();
   {
     std::ofstream out(path);
     out << "0.0,0.05\n1.5,0.06,revoke\n2.5,0.07,storm\n";
@@ -120,7 +131,7 @@ TEST(SpotTrace, CsvRoundTrip) {
   std::vector<rrp::ts::Tick> ticks = {{0.0, 0.051}, {1.25, 0.062},
                                       {7.5, 0.049}};
   const SpotTrace trace(VmClass::C1Medium, ticks);
-  const std::string path = ::testing::TempDir() + "rrp_trace_test.csv";
+  const std::string path = test_csv_path();
   trace.save_csv(path);
   const SpotTrace loaded = SpotTrace::load_csv(path, VmClass::C1Medium);
   ASSERT_EQ(loaded.ticks().size(), 3u);

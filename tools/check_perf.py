@@ -16,6 +16,9 @@ Failure conditions:
   * a benchmark's node LPs take more simplex pivots than its baseline
     `max_pivots` cap (deterministic at jobs=1 like node counts; catches
     a cold solve silently going back to a primal first phase);
+  * a benchmark rebuilds the sparse LU factor more often than its
+    baseline `max_refactorizations` cap (deterministic at jobs=1; catches
+    node solves that stop reusing the factor across the tree);
   * srrp_warm_speedup falls below the baseline's min_srrp_warm_speedup
     (the ISSUE 5 acceptance bar: warm starts must at least double B&B
     node throughput on the SRRP deterministic equivalent);
@@ -150,8 +153,9 @@ def main() -> int:
         name = base["name"]
         gates_nps = "nodes_per_second" in base
         gates_nodes = "max_nodes" in base
-        gates_pivots = "max_pivots" in base
-        if not (gates_nps or gates_nodes or gates_pivots):
+        counts = [key for key in ("pivots", "refactorizations")
+                  if f"max_{key}" in base]
+        if not (gates_nps or gates_nodes or counts):
             continue
         got = measured_by_name.get(name)
         if got is None:
@@ -178,18 +182,18 @@ def main() -> int:
                 failures.append(
                     f"{name}: {nodes} nodes exceeds cap {cap} "
                     f"({nodes / cap:.2f}x of cap)")
-        if gates_pivots:
-            cap = base["max_pivots"]
-            pivots = got.get("pivots")
-            if pivots is None:
-                failures.append(f"{name}: no pivot count in measured results")
-            else:
-                status = "ok" if pivots <= cap else "FAIL"
-                print(f"{status:4} {name}: {pivots} pivots (cap {cap})")
-                if pivots > cap:
-                    failures.append(
-                        f"{name}: {pivots} pivots exceeds cap {cap} "
-                        f"({pivots / cap:.2f}x of cap)")
+        for key in counts:
+            cap = base[f"max_{key}"]
+            count = got.get(key)
+            if count is None:
+                failures.append(f"{name}: no {key} count in measured results")
+                continue
+            status = "ok" if count <= cap else "FAIL"
+            print(f"{status:4} {name}: {count} {key} (cap {cap})")
+            if count > cap:
+                failures.append(
+                    f"{name}: {count} {key} exceeds cap {cap} "
+                    f"({count / cap:.2f}x of cap)")
 
     min_speedup = baseline.get("min_srrp_warm_speedup")
     if min_speedup is not None:
