@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 namespace rrp::lp {
 
@@ -19,19 +18,26 @@ std::size_t LinearProgram::add_row(std::vector<Entry> entries, double lo,
                                    double hi, std::string name) {
   RRP_EXPECTS(lo <= hi);
   RRP_EXPECTS(lo < kInfinity && hi > -kInfinity);
-  // Merge duplicate columns and validate indices.
-  std::map<std::size_t, double> merged;
   for (const Entry& e : entries) {
     RRP_EXPECTS(e.col < variables_.size());
     RRP_EXPECTS(std::isfinite(e.coeff));
-    merged[e.col] += e.coeff;
   }
-  std::vector<Entry> cleaned;
-  cleaned.reserve(merged.size());
-  for (const auto& [col, coeff] : merged) {
-    if (coeff != 0.0) cleaned.push_back(Entry{col, coeff});
+  // Merge duplicate columns.  The stable sort keeps each column's
+  // entries in input order and every sum starts from +0.0, so a merged
+  // coefficient is the same double a std::map<col, double> += merge
+  // gives.  Zero sums are dropped.
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const Entry& a, const Entry& b) { return a.col < b.col; });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < entries.size();) {
+    const std::size_t col = entries[i].col;
+    double sum = 0.0;
+    for (; i < entries.size() && entries[i].col == col; ++i)
+      sum += entries[i].coeff;
+    if (sum != 0.0) entries[kept++] = Entry{col, sum};
   }
-  rows_.push_back(Row{std::move(cleaned), lo, hi, std::move(name)});
+  entries.resize(kept);
+  rows_.push_back(Row{std::move(entries), lo, hi, std::move(name)});
   return rows_.size() - 1;
 }
 

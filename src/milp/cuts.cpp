@@ -1,8 +1,8 @@
 #include "milp/cuts.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/invariant.hpp"
 #include "obs/obs.hpp"
@@ -78,8 +78,7 @@ std::vector<Cut> LotSizingCutGenerator::separate(
   return cuts;
 }
 
-bool CutPool::add(const Cut& cut) {
-  // Canonical key: sorted (column, rounded coefficient) pairs + bounds.
+std::string CutPool::key(const Cut& cut) {
   std::vector<lp::Entry> sorted = cut.entries;
   std::sort(sorted.begin(), sorted.end(),
             [](const lp::Entry& a, const lp::Entry& b) {
@@ -87,14 +86,27 @@ bool CutPool::add(const Cut& cut) {
             });
   std::string key;
   key.reserve(sorted.size() * 24 + 48);
-  char buf[64];
+  char buf[32];  // fits any size_t and any "%.9g" double
+  // to_chars with chars_format::general and precision 9 is specified
+  // to print what printf's "%.9g" prints.
+  auto append_double = [&](double v) {
+    key.append(buf, std::to_chars(buf, buf + sizeof buf, v,
+                                  std::chars_format::general, 9)
+                        .ptr);
+  };
   for (const lp::Entry& e : sorted) {
-    std::snprintf(buf, sizeof buf, "%zu:%.9g;", e.col, e.coeff);
-    key += buf;
+    key.append(buf, std::to_chars(buf, buf + sizeof buf, e.col).ptr);
+    key += ':';
+    append_double(e.coeff);
+    key += ';';
   }
-  std::snprintf(buf, sizeof buf, "|%.9g|%.9g", cut.lo, cut.hi);
-  key += buf;
-  return keys_.insert(std::move(key)).second;
+  key += '|';
+  append_double(cut.lo);
+  key += '|';
+  append_double(cut.hi);
+  return key;
 }
+
+bool CutPool::add(const Cut& cut) { return keys_.insert(key(cut)).second; }
 
 }  // namespace rrp::milp

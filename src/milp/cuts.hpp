@@ -95,6 +95,10 @@ class CutPool {
   /// True when the cut is new (and now recorded), false for duplicates.
   bool add(const Cut& cut);
 
+  /// The dedup key: the cut's (column, coefficient) pairs sorted by
+  /// column, then its bounds, every double printed as "%.9g" would.
+  static std::string key(const Cut& cut);
+
   std::size_t size() const { return keys_.size(); }
 
  private:

@@ -108,22 +108,88 @@ std::vector<double> apply_differencing(std::span<const double> x,
   return w;
 }
 
+namespace {
+
+/// One nonzero term of an expanded lag polynomial.
+struct Lag {
+  std::size_t lag;
+  double coeff;
+};
+
+/// The nonzero lags of a model's expanded AR and MA sides (index l-1 of
+/// `ar_full`/`ma_full` holds lag l), each in increasing lag order.
+struct SparseLags {
+  std::vector<Lag> ar, ma;
+
+  void assign(std::span<const double> ar_full,
+              std::span<const double> ma_full) {
+    collect(ar_full, ar);
+    collect(ma_full, ma);
+  }
+
+ private:
+  static void collect(std::span<const double> full, std::vector<Lag>& out) {
+    out.clear();
+    for (std::size_t l = 1; l <= full.size(); ++l)
+      if (full[l - 1] != 0.0) out.push_back(Lag{l, full[l - 1]});
+  }
+};
+
+/// The CSS recursion every caller shares: writes into `e` the residuals
+/// of z = w - mean, e_t = z_t - (sum a_l z_{t-l} + sum m_l e_{t-l}) over
+/// the nonzero lags l <= t.  The AR part runs first, one vectorisable
+/// pass per lag with `e` as the accumulator; only the MA part is a
+/// serial recursion.  Each t still adds its terms from +0.0 in
+/// increasing lag order, AR before MA, and a skipped term c * v with
+/// c == +-0 and v finite is +-0, which leaves a sum that never holds
+/// -0.0 unchanged: the residuals equal the dense recursion over every
+/// lag bit for bit whenever they stay finite.
+void sparse_css(std::span<const double> w, double mean,
+                const SparseLags& lags, std::span<double> e) {
+  RRP_EXPECTS(e.size() == w.size());
+  const std::size_t n = w.size();
+  std::fill(e.begin(), e.end(), 0.0);
+  for (const Lag& a : lags.ar)
+    for (std::size_t t = a.lag; t < n; ++t)
+      e[t] += a.coeff * (w[t - a.lag] - mean);
+  // The lag-1 MA term reads the residual just computed from a register,
+  // not through a store and reload on every step of the recursion.  m1
+  // is 0 when the model has no lag-1 MA term, and prev is 0 at t = 0;
+  // either way the term added is +-0, a skipped term.
+  std::span<const Lag> ma = lags.ma;
+  double m1 = 0.0;
+  if (!ma.empty() && ma.front().lag == 1) {
+    m1 = ma.front().coeff;
+    ma = ma.subspan(1);
+  }
+  double prev = 0.0;
+  for (std::size_t t = 0; t < n; ++t) {
+    double pred = e[t] + m1 * prev;
+    for (const Lag& m : ma) {
+      if (t < m.lag) break;
+      pred += m.coeff * e[t - m.lag];
+    }
+    prev = (w[t] - mean) - pred;
+    e[t] = prev;
+  }
+}
+
+/// Sum of squared residuals from `start` on.
+double sum_of_squares(std::span<const double> e, std::size_t start) {
+  double sse = 0.0;
+  for (std::size_t t = start; t < e.size(); ++t) sse += e[t] * e[t];
+  return sse;
+}
+
+}  // namespace
+
 std::vector<double> css_residuals(std::span<const double> z,
                                   std::span<const double> ar_full,
                                   std::span<const double> ma_full) {
-  std::vector<double> e(z.size(), 0.0);
-  for (std::size_t t = 0; t < z.size(); ++t) {
-    double pred = 0.0;
-    for (std::size_t l = 1; l <= ar_full.size(); ++l) {
-      if (t < l) break;
-      pred += ar_full[l - 1] * z[t - l];
-    }
-    for (std::size_t l = 1; l <= ma_full.size(); ++l) {
-      if (t < l) break;
-      pred += ma_full[l - 1] * e[t - l];
-    }
-    e[t] = z[t] - pred;
-  }
+  SparseLags lags;
+  lags.assign(ar_full, ma_full);
+  std::vector<double> e(z.size());
+  sparse_css(z, 0.0, lags, e);
   return e;
 }
 
@@ -180,19 +246,18 @@ SarimaModel fit_sarima_impl(std::span<const double> x,
     return r;
   };
 
+  // Buffers reused across the optimiser's evaluations of this one fit.
+  std::vector<double> e(w.size());
+  SparseLags lags;
   auto css_of = [&](const std::vector<double>& u) {
     const Unpacked r = unpack(u);
     const auto ar_full = expand_ar(r.phi, r.sphi, order.s);
     const auto ma_full = expand_ma(r.theta, r.stheta, order.s);
-    std::vector<double> z(w.size());
-    for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - r.mean;
-    const auto e = css_residuals(z, ar_full, ma_full);
+    lags.assign(ar_full, ma_full);
+    sparse_css(w, r.mean, lags, e);
     // Skip the warm-up residuals that condition on unknown pre-sample
     // values.
-    double sse = 0.0;
-    const std::size_t start = std::max(ar_full.size(), ma_full.size());
-    for (std::size_t t = start; t < e.size(); ++t) sse += e[t] * e[t];
-    return sse;
+    return sum_of_squares(e, std::max(ar_full.size(), ma_full.size()));
   };
 
   std::vector<double> start(n_coef + (include_mean ? 1 : 0), 0.0);
@@ -289,14 +354,14 @@ SarimaRefitResult refit_sarima(const SarimaModel& incumbent,
 
   // Diagnose the incumbent on the window: one CSS pass, no refit yet.
   const std::vector<double> w = apply_differencing(tail, order);
-  std::vector<double> z(w.size());
-  for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - incumbent.mean;
-  const auto e = css_residuals(z, incumbent.ar_full, incumbent.ma_full);
+  SparseLags incumbent_lags;
+  incumbent_lags.assign(incumbent.ar_full, incumbent.ma_full);
+  std::vector<double> e(w.size());
+  sparse_css(w, incumbent.mean, incumbent_lags, e);
   const std::size_t start =
       std::max(incumbent.ar_full.size(), incumbent.ma_full.size());
   RRP_EXPECTS(e.size() > start);
-  double sse = 0.0;
-  for (std::size_t t = start; t < e.size(); ++t) sse += e[t] * e[t];
+  const double sse = sum_of_squares(e, start);
   const std::size_t n_eff = e.size() - start;
 
   SarimaRefitResult out;
@@ -360,24 +425,25 @@ std::vector<double> forecast(const SarimaModel& model,
     layers.push_back(difference(layers.back(), order.s));
 
   const std::vector<double>& w = layers.back();
-  std::vector<double> z(w.size());
-  for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - model.mean;
-  const auto e = css_residuals(z, model.ar_full, model.ma_full);
+  SparseLags lags;
+  lags.assign(model.ar_full, model.ma_full);
+  std::vector<double> zext(w.size());
+  for (std::size_t t = 0; t < w.size(); ++t) zext[t] = w[t] - model.mean;
+  std::vector<double> eext(w.size());
+  sparse_css(w, model.mean, lags, eext);
 
   // Recursive point forecasts on the differenced scale; future
   // innovations are zero.
-  std::vector<double> zext = z;
-  std::vector<double> eext = e;
   for (std::size_t step = 0; step < h; ++step) {
     const std::size_t t = zext.size();
     double pred = 0.0;
-    for (std::size_t l = 1; l <= model.ar_full.size(); ++l) {
-      if (t < l) break;
-      pred += model.ar_full[l - 1] * zext[t - l];
+    for (const Lag& a : lags.ar) {
+      if (t < a.lag) break;
+      pred += a.coeff * zext[t - a.lag];
     }
-    for (std::size_t l = 1; l <= model.ma_full.size(); ++l) {
-      if (t < l) break;
-      pred += model.ma_full[l - 1] * eext[t - l];
+    for (const Lag& m : lags.ma) {
+      if (t < m.lag) break;
+      pred += m.coeff * eext[t - m.lag];
     }
     zext.push_back(pred);
     eext.push_back(0.0);

@@ -11,6 +11,16 @@
 //    keeps the AR side stationary and the MA side invertible by
 //    construction;
 //  * recursive multi-step forecasting with differencing inversion.
+//
+// One CSS recursion serves the fitter, the refit diagnostics,
+// css_residuals and forecast.  It visits only the nonzero lags of the
+// expanded polynomials (8 of the paper model's 50 AR lags): the AR part
+// as one vectorisable pass per lag, the MA part as a serial recursion.
+// For each t it still adds its terms from +0.0 in increasing lag order,
+// AR before MA, and a skipped term c * v has c == +-0, which leaves the
+// sum unchanged; so residuals, CSS values and fitted models are bit for
+// bit those of the dense recursion over every lag, whenever the
+// residuals stay finite.
 #pragma once
 
 #include <span>
@@ -77,7 +87,8 @@ std::vector<double> apply_differencing(std::span<const double> x,
 
 /// CSS residuals of a coefficient set on a differenced, mean-free
 /// series; e_t = z_t - sum a_l z_{t-l} - sum m_l e_{t-l} with unknown
-/// pre-sample values set to zero.
+/// pre-sample values set to zero.  Zero coefficients are skipped
+/// without changing a bit of the result (see the file comment).
 std::vector<double> css_residuals(std::span<const double> z,
                                   std::span<const double> ar_full,
                                   std::span<const double> ma_full);

@@ -2,12 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "common/thread_pool.hpp"
+#include "obs/registry.hpp"
+#include "timeseries/acf.hpp"
+#include "timeseries/series.hpp"
 
 namespace {
 
@@ -425,6 +433,321 @@ TEST(RefitSarima, RejectsWindowTooShortForDiagnostics) {
   std::vector<double> phi = {0.6};
   const auto tiny = simulate_arma(phi, {}, 0.0, 1.0, 49, 310);
   EXPECT_THROW(refit_sarima(incumbent, tiny), rrp::ContractViolation);
+}
+
+// --- Sparse-lag CSS kernel against a dense reference ------------------
+//
+// The library's CSS recursion visits only the nonzero lags of the
+// expanded polynomials.  The references below are the dense textbook
+// recursion over every lag; on finite data the two must agree bit for
+// bit, and so must every fit built on them.
+
+std::vector<double> dense_css_residuals(std::span<const double> z,
+                                        std::span<const double> ar_full,
+                                        std::span<const double> ma_full) {
+  std::vector<double> e(z.size(), 0.0);
+  for (std::size_t t = 0; t < z.size(); ++t) {
+    double pred = 0.0;
+    for (std::size_t l = 1; l <= ar_full.size() && l <= t; ++l)
+      pred += ar_full[l - 1] * z[t - l];
+    for (std::size_t l = 1; l <= ma_full.size() && l <= t; ++l)
+      pred += ma_full[l - 1] * e[t - l];
+    e[t] = z[t] - pred;
+  }
+  return e;
+}
+
+std::vector<double> dense_forecast(const SarimaModel& model,
+                                   std::span<const double> x,
+                                   std::size_t h) {
+  const SarimaOrder& order = model.order;
+  std::vector<std::vector<double>> layers;
+  layers.emplace_back(x.begin(), x.end());
+  for (std::size_t i = 0; i < order.d; ++i)
+    layers.push_back(difference(layers.back(), 1));
+  for (std::size_t i = 0; i < order.D; ++i)
+    layers.push_back(difference(layers.back(), order.s));
+  const std::vector<double>& w = layers.back();
+  std::vector<double> z(w.size());
+  for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - model.mean;
+  std::vector<double> e = dense_css_residuals(z, model.ar_full,
+                                              model.ma_full);
+  for (std::size_t step = 0; step < h; ++step) {
+    const std::size_t t = z.size();
+    double pred = 0.0;
+    for (std::size_t l = 1; l <= model.ar_full.size() && l <= t; ++l)
+      pred += model.ar_full[l - 1] * z[t - l];
+    for (std::size_t l = 1; l <= model.ma_full.size() && l <= t; ++l)
+      pred += model.ma_full[l - 1] * e[t - l];
+    z.push_back(pred);
+    e.push_back(0.0);
+  }
+  std::vector<double> cur(z.end() - static_cast<std::ptrdiff_t>(h), z.end());
+  for (double& v : cur) v += model.mean;
+  for (std::size_t i = 0; i < order.D; ++i)
+    cur = undifference(layers[layers.size() - 2 - i], cur, order.s);
+  for (std::size_t i = 0; i < order.d; ++i)
+    cur = undifference(layers[order.d - 1 - i], cur, 1);
+  return cur;
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bit_identical(std::span<const double> got,
+                          std::span<const double> want,
+                          const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(bits(got[i]), bits(want[i])) << what << " at " << i;
+}
+
+std::vector<double> noise(std::size_t n, double mean, std::uint64_t seed) {
+  rrp::Rng rng(seed);
+  std::vector<double> x(n);
+  for (double& v : x) v = mean + rng.normal(0.0, 1.0);
+  return x;
+}
+
+TEST(SparseCssKernel, ResidualsAndForecastsMatchDenseRecursionBitForBit) {
+  struct Coefficients {
+    std::vector<double> phi, theta, sphi, stheta;
+  };
+  // A generic set, one holding exact +0.0 and -0.0 coefficients whose
+  // expansion then has signed zeros at live lags, a pure AR and a pure
+  // MA set.
+  const std::vector<Coefficients> sets = {
+      {{0.5, -0.2}, {0.3}, {0.4, 0.15}, {-0.35}},
+      {{0.45, -0.0}, {0.0, 0.25}, {-0.0, 0.3}, {0.2}},
+      {{0.6}, {}, {0.2}, {}},
+      {{}, {0.4}, {}, {-0.3}},
+  };
+  std::uint64_t seed = 900;
+  for (const std::size_t s : {0u, 7u, 24u}) {
+    for (const std::size_t d : {0u, 1u}) {
+      for (const std::size_t D : {0u, 1u}) {
+        if (D > 0 && s < 2) continue;
+        for (const Coefficients& c : sets) {
+          SarimaModel model;
+          model.order = {c.phi.size(), d, c.theta.size(),
+                         c.sphi.size(), D, c.stheta.size(), s};
+          model.ar_full = expand_ar(c.phi, c.sphi, s);
+          model.ma_full = expand_ma(c.theta, c.stheta, s);
+          // Signed zeros written straight into the expanded vectors.
+          if (!model.ar_full.empty())
+            model.ar_full[model.ar_full.size() / 2] = -0.0;
+          if (!model.ma_full.empty()) model.ma_full.back() = 0.0;
+          model.mean = d + D == 0 ? 0.37 : 0.0;
+          model.has_mean = d + D == 0;
+          const std::size_t max_lag =
+              std::max(model.ar_full.size(), model.ma_full.size());
+          const std::size_t diff_len = d + D * s;
+          // Differenced lengths below, at and above the longest lag.
+          for (const std::size_t n :
+               {std::size_t{3}, max_lag / 2 + 1, max_lag, 4 * max_lag}) {
+            const std::string what =
+                "s=" + std::to_string(s) + " d=" + std::to_string(d) +
+                " D=" + std::to_string(D) + " n=" + std::to_string(n);
+            const auto z = noise(n, 0.0, ++seed);
+            expect_bit_identical(
+                css_residuals(z, model.ar_full, model.ma_full),
+                dense_css_residuals(z, model.ar_full, model.ma_full),
+                "residuals " + what);
+            const auto x = noise(n + diff_len, 5.0, ++seed);
+            expect_bit_identical(forecast(model, x, 30),
+                                 dense_forecast(model, x, 30),
+                                 "forecast " + what);
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fitter's parametrisation, rebuilt from the public pieces: tanh
+// partials clamped inside (-1, 1), Durbin-Levinson, MA through the
+// negated AR map, the mean (when fitted) last.
+struct ReferenceFit {
+  std::vector<double> phi, theta, sphi, stheta;
+  double mean = 0.0;
+  double css = 0.0;
+  std::size_t evaluations = 0;
+};
+
+std::vector<double> reference_constrain(std::span<const double> raw) {
+  constexpr double kEdge = 1.0 - 1e-9;
+  std::vector<double> partial(raw.size());
+  for (std::size_t i = 0; i < raw.size(); ++i)
+    partial[i] = std::clamp(std::tanh(raw[i]), -kEdge, kEdge);
+  return pacf_to_ar(partial);
+}
+
+ReferenceFit reference_fit(std::span<const double> x,
+                           const SarimaOrder& order, bool include_mean,
+                           std::vector<double> start,
+                           const NelderMeadOptions& nm) {
+  const std::vector<double> w = apply_differencing(x, order);
+  auto unpack = [&](const std::vector<double>& u) {
+    ReferenceFit r;
+    std::size_t k = 0;
+    auto take = [&](std::size_t n, bool negate) {
+      auto c = reference_constrain({u.data() + k, n});
+      k += n;
+      if (negate)
+        for (double& v : c) v = -v;
+      return c;
+    };
+    r.phi = take(order.p, false);
+    r.theta = take(order.q, true);
+    r.sphi = take(order.P, false);
+    r.stheta = take(order.Q, true);
+    r.mean = include_mean ? u[k] : 0.0;
+    return r;
+  };
+  auto css = [&](const std::vector<double>& u) {
+    const ReferenceFit r = unpack(u);
+    const auto ar_full = expand_ar(r.phi, r.sphi, order.s);
+    const auto ma_full = expand_ma(r.theta, r.stheta, order.s);
+    std::vector<double> z(w.size());
+    for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - r.mean;
+    const auto e = dense_css_residuals(z, ar_full, ma_full);
+    double sse = 0.0;
+    for (std::size_t t = std::max(ar_full.size(), ma_full.size());
+         t < e.size(); ++t)
+      sse += e[t] * e[t];
+    return sse;
+  };
+  const NelderMeadResult opt = nelder_mead(css, std::move(start), nm);
+  ReferenceFit out = unpack(opt.x);
+  out.css = opt.value;
+  out.evaluations = opt.evaluations;
+  return out;
+}
+
+/// The cold start: zero coefficients, the differenced sample mean.
+std::vector<double> cold_start(std::span<const double> x,
+                               const SarimaOrder& order, bool include_mean) {
+  std::vector<double> start(order.num_coefficients(), 0.0);
+  if (include_mean)
+    start.push_back(rrp::stats::mean(apply_differencing(x, order)));
+  return start;
+}
+
+/// The warm start: the incumbent mapped back to optimiser space.
+std::vector<double> warm_start(const SarimaModel& m) {
+  std::vector<double> raw;
+  auto append = [&raw](std::vector<double> c, bool negate) {
+    if (negate)
+      for (double& v : c) v = -v;
+    for (double p : ar_to_pacf(c)) raw.push_back(std::atanh(p));
+  };
+  append(m.phi, false);
+  append(m.theta, true);
+  append(m.sphi, false);
+  append(m.stheta, true);
+  if (m.has_mean) raw.push_back(m.mean);
+  return raw;
+}
+
+void expect_same_fit(const SarimaModel& got, const ReferenceFit& want) {
+  expect_bit_identical(got.phi, want.phi, "phi");
+  expect_bit_identical(got.theta, want.theta, "theta");
+  expect_bit_identical(got.sphi, want.sphi, "sphi");
+  expect_bit_identical(got.stheta, want.stheta, "stheta");
+  EXPECT_EQ(bits(got.mean), bits(want.mean));
+  EXPECT_EQ(bits(got.css), bits(want.css));
+}
+
+std::uint64_t fit_evaluations() {
+  return rrp::obs::global_registry()
+      .counter("rrp.ts.sarima_fit_evaluations")
+      .value();
+}
+
+/// The paper's SARIMA(2,0,1)(2,0,0)_24.
+SarimaOrder paper_order() { return {2, 0, 1, 2, 0, 0, 24}; }
+
+/// A seasonal AR series (lags 1, 24, 25) with innovation sd `sd`.
+std::vector<double> seasonal_series(double sd, std::size_t n,
+                                    std::uint64_t seed) {
+  const std::vector<double> phi = {0.5};
+  const std::vector<double> sphi = {0.3};
+  const auto ar = expand_ar(phi, sphi, 24);
+  return simulate_arma(ar, {}, 2.0, sd, n, seed);
+}
+
+TEST(SparseCssKernel, FitFollowsTheDenseNelderMeadTrajectory) {
+  const auto x = seasonal_series(1.0, 400, 950);
+  const SarimaOrder order = paper_order();
+  const SarimaFitOptions options;
+  const ReferenceFit want = reference_fit(
+      x, order, true, cold_start(x, order, true), options.optimizer);
+  const std::uint64_t before = fit_evaluations();
+  const SarimaModel got = fit_sarima(x, order, options);
+  EXPECT_EQ(fit_evaluations() - before, want.evaluations);
+  expect_same_fit(got, want);
+}
+
+TEST(SparseCssKernel, RefitTiersFollowTheDenseNelderMeadTrajectory) {
+  const SarimaOrder order = paper_order();
+  const SarimaModel incumbent =
+      fit_sarima(seasonal_series(1.0, 400, 951), order);
+  // The window (default 336) covers each whole drifted series.
+  const SarimaRefitOptions options;
+  struct Tier {
+    double sd;
+    SarimaRefitAction action;
+  };
+  // sd 1.5 => variance ratio ~2.25 (warm); sd 2.5 => ~6.25 (scratch).
+  for (const Tier tier : {Tier{1.5, SarimaRefitAction::WarmRefit},
+                          Tier{2.5, SarimaRefitAction::ScratchRefit}}) {
+    const auto x = seasonal_series(tier.sd, 300, 952);
+    ASSERT_LE(x.size(), options.diagnostic_window);
+    NelderMeadOptions nm = options.scratch.optimizer;
+    std::vector<double> start;
+    if (tier.action == SarimaRefitAction::WarmRefit) {
+      nm.max_evaluations = options.warm_max_evaluations;
+      start = warm_start(incumbent);
+    } else {
+      start = cold_start(x, order, incumbent.has_mean);
+    }
+    const ReferenceFit want =
+        reference_fit(x, order, incumbent.has_mean, std::move(start), nm);
+    const std::uint64_t before = fit_evaluations();
+    const SarimaRefitResult got = refit_sarima(incumbent, x, options);
+    ASSERT_EQ(got.action, tier.action);
+    EXPECT_EQ(fit_evaluations() - before, want.evaluations);
+    expect_same_fit(got.model, want);
+  }
+}
+
+// --- Concurrent fits ---------------------------------------------------
+//
+// auto_arima fits its candidate orders in parallel on the global pool;
+// each fit keeps its buffers local, so concurrent fits must equal the
+// same fits run one after another.  Run under TSan in CI.
+
+TEST(FitSarimaConcurrent, PoolFitsEqualSerialFits) {
+  std::vector<std::vector<double>> series;
+  std::vector<SarimaOrder> orders;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    series.push_back(seasonal_series(1.0 + 0.1 * static_cast<double>(i),
+                                     200, 960 + i));
+    orders.push_back(i % 2 == 0 ? SarimaOrder{1, 0, 1, 1, 0, 0, 24}
+                                : SarimaOrder{2, 1, 0, 0, 0, 1, 24});
+  }
+  std::vector<SarimaModel> serial;
+  for (std::size_t i = 0; i < series.size(); ++i)
+    serial.push_back(fit_sarima(series[i], orders[i]));
+  std::vector<SarimaModel> pooled(series.size());
+  rrp::global_pool().parallel_for(series.size(), [&](std::size_t i) {
+    pooled[i] = fit_sarima(series[i], orders[i]);
+  });
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    expect_bit_identical(pooled[i].ar_full, serial[i].ar_full, "ar_full");
+    expect_bit_identical(pooled[i].ma_full, serial[i].ma_full, "ma_full");
+    EXPECT_EQ(bits(pooled[i].mean), bits(serial[i].mean));
+    EXPECT_EQ(bits(pooled[i].css), bits(serial[i].css));
+  }
 }
 
 }  // namespace

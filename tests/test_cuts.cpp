@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "core/drrp.hpp"
@@ -145,6 +152,86 @@ TEST(CutPool, DeduplicatesByCoefficientsAndBounds) {
   other_coeff.entries[1].coeff = 2.75;
   EXPECT_TRUE(pool.add(other_coeff));
   EXPECT_EQ(pool.size(), 3u);
+}
+
+// The cut key and the row merge against the forms they replace: a key
+// built with one snprintf("%.9g") per number, and a std::map += merge.
+std::string printf_key(const Cut& cut) {
+  std::vector<lp::Entry> sorted = cut.entries;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const lp::Entry& a, const lp::Entry& b) {
+              return a.col < b.col;
+            });
+  std::string key;
+  char buf[64];
+  for (const lp::Entry& e : sorted) {
+    std::snprintf(buf, sizeof buf, "%zu:%.9g;", e.col, e.coeff);
+    key += buf;
+  }
+  std::snprintf(buf, sizeof buf, "|%.9g|%.9g", cut.lo, cut.hi);
+  return key + buf;
+}
+
+std::vector<lp::Entry> map_merge(const std::vector<lp::Entry>& entries) {
+  std::map<std::size_t, double> merged;
+  for (const lp::Entry& e : entries) merged[e.col] += e.coeff;
+  std::vector<lp::Entry> out;
+  for (const auto& [col, coeff] : merged)
+    if (coeff != 0.0) out.push_back(lp::Entry{col, coeff});
+  return out;
+}
+
+TEST(CutPool, KeysAndRowMergesMatchPrintfAndMapReferences) {
+  const double sub = std::numeric_limits<double>::denorm_min();
+  const double min_normal = std::numeric_limits<double>::min();
+  const std::vector<std::vector<lp::Entry>> supports = {
+      // Signed zeros, alone and merged with each other.
+      {{0, -0.0}, {1, 0.0}, {2, -0.0}, {2, -0.0}, {3, 1.0}},
+      // Subnormals: alone, summed, and cancelling.
+      {{0, sub}, {1, sub}, {1, sub}, {2, -sub}, {2, sub},
+       {3, min_normal / 3.0}, {4, -3.7e-310}},
+      // Huge values: a sum that stays finite, one that cancels, and an
+      // order-sensitive one ((1e300 + 1) - 1e300 is 0, not 1).
+      {{0, 1e300}, {0, 1e300}, {1, -1e300}, {1, 1e300}, {2, 1e300},
+       {2, 1.0}, {2, -1e300}, {3, -1e300}, {4, 1e-300}},
+      // Ties at the 9th significant digit (exactly representable, so
+      // rounding must go to even), and neighbours of the tie.
+      {{7, 123456788.5}, {1, 123456789.5}, {2, -123456788.5},
+       {3, 1.000000005}, {4, 0.1234567885}, {5, 1e9}, {6, 1e-5},
+       {8, 99999999.95}, {9, 2.5e16}, {9, 2.5e16}},
+      // Merges in input order, columns far apart and out of order.
+      {{1000, 0.1}, {0, 0.2}, {1000, 0.7}, {0, 0.3}, {5, 1.0 / 3.0},
+       {5, 2.0 / 3.0}, {5, -1.0}},
+  };
+  const std::vector<std::pair<double, double>> bounds = {
+      {-lp::kInfinity, 0.0}, {-0.0, lp::kInfinity}, {sub, 1e300},
+      {-1e300, 123456788.5}};
+  for (std::size_t i = 0; i < supports.size(); ++i) {
+    Cut cut;
+    cut.entries = supports[i];
+    cut.lo = bounds[i % bounds.size()].first;
+    cut.hi = bounds[i % bounds.size()].second;
+    EXPECT_EQ(CutPool::key(cut), printf_key(cut)) << "support " << i;
+
+    lp::LinearProgram model;
+    std::size_t max_col = 0;
+    for (const lp::Entry& e : supports[i]) max_col = std::max(max_col, e.col);
+    for (std::size_t j = 0; j <= max_col; ++j)
+      model.add_variable(0.0, 1.0, 0.0);
+    const std::vector<lp::Entry>& got =
+        model.row(model.add_row(supports[i], cut.lo, cut.hi)).entries;
+    const std::vector<lp::Entry> want = map_merge(supports[i]);
+    ASSERT_EQ(got.size(), want.size()) << "support " << i;
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].col, want[k].col) << "support " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].coeff),
+                std::bit_cast<std::uint64_t>(want[k].coeff))
+          << "support " << i << " entry " << k;
+    }
+  }
+  Cut widest;
+  widest.entries = {{std::numeric_limits<std::size_t>::max(), -0.0}};
+  EXPECT_EQ(CutPool::key(widest), printf_key(widest));
 }
 
 // End-to-end: root cuts shrink the aggregated DRRP tree without
