@@ -37,9 +37,8 @@ enum class ReplanMode { Rebuild, Incremental };
 
 const char* to_string(ReplanMode mode);
 
-/// The SARIMA refit defaults used by every policy: the historical
-/// 4000-evaluation Nelder-Mead budget for cold fits, the stock drift
-/// thresholds for warm maintenance.
+/// The SARIMA refit defaults used by every policy: a 4000-evaluation
+/// cap for cold fits, the stock drift thresholds for warm maintenance.
 ts::SarimaRefitOptions default_policy_sarima_refit();
 
 enum class BidStrategy {

@@ -55,16 +55,26 @@ double white_noise_band(std::size_t n) {
 }
 
 std::vector<double> pacf_to_ar(std::span<const double> partial) {
-  for (double r : partial) RRP_EXPECTS(std::fabs(r) < 1.0);
-  const std::size_t k = partial.size();
-  std::vector<double> phi(k, 0.0), prev(k, 0.0);
-  for (std::size_t j = 0; j < k; ++j) {
-    const double a = partial[j];
-    phi[j] = a;
-    for (std::size_t i = 0; i < j; ++i) phi[i] = prev[i] - a * prev[j - 1 - i];
-    prev = phi;
-  }
+  std::vector<double> phi(partial.begin(), partial.end());
+  pacf_to_ar_in_place(phi);
   return phi;
+}
+
+void pacf_to_ar_in_place(std::span<double> coeffs) {
+  for (double r : coeffs) RRP_EXPECTS(std::fabs(r) < 1.0);
+  // Order j + 1 from order j: phi_i <- phi_i - a * phi_{j-1-i} for
+  // i < j, with a = coeffs[j].  The update pairs i with j-1-i, so each
+  // pair is read before either is written.
+  for (std::size_t j = 1; j < coeffs.size(); ++j) {
+    const double a = coeffs[j];
+    for (std::size_t i = 0, k = j - 1; i <= k; ++i, --k) {
+      const double lo = coeffs[i];
+      const double hi = coeffs[k];
+      coeffs[i] = lo - a * hi;
+      if (k != i) coeffs[k] = hi - a * lo;
+      if (k == 0) break;
+    }
+  }
 }
 
 std::vector<double> ar_to_pacf(std::span<const double> ar) {

@@ -24,6 +24,10 @@ double white_noise_band(std::size_t n);
 /// the SARIMA fitter to keep the optimiser inside the stationary region.
 std::vector<double> pacf_to_ar(std::span<const double> partial);
 
+/// pacf_to_ar in place: `coeffs` holds the partials on entry and the AR
+/// coefficients on return, bit for bit those pacf_to_ar returns.
+void pacf_to_ar_in_place(std::span<double> coeffs);
+
 /// Inverse Durbin-Levinson: recovers the partial autocorrelations from
 /// AR(k) coefficients, so pacf_to_ar(ar_to_pacf(phi)) == phi for any
 /// stationary phi.  Partials of a (numerically) non-stationary input

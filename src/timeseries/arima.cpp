@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/special.hpp"
@@ -26,27 +27,40 @@ std::vector<double> poly_multiply(std::span<const double> a,
   return out;
 }
 
-/// Builds the polynomial 1 + sign * sum_k c_k B^{k*step}.
-std::vector<double> lag_poly(std::span<const double> coeffs, double sign,
-                             std::size_t step) {
-  std::vector<double> poly(coeffs.size() * step + 1, 0.0);
-  poly[0] = 1.0;
-  for (std::size_t k = 0; k < coeffs.size(); ++k)
-    poly[(k + 1) * step] = sign * coeffs[k];
-  return poly;
+/// Expands (1 + sign sum_i c_i B^i)(1 + sign sum_j C_j B^{j s}) and
+/// writes sign times the coefficient of B^l to out[l-1]: the recursion
+/// coefficients a_l of expand_ar for sign -1, the m_l of expand_ma for
+/// sign +1.  `out` holds c.size() + C.size() * max(s, 1) values.  Each
+/// lag sums its products from +0.0 in the order the dense polynomial
+/// product would, skipping only products with a structural zero, which
+/// are +-0 and leave the sum unchanged.
+void expand_into(std::span<const double> c, std::span<const double> C,
+                 std::size_t s, double sign, std::span<double> out) {
+  const std::size_t s1 = std::max<std::size_t>(s, 1);
+  RRP_EXPECTS(out.size() == c.size() + C.size() * s1);
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t i = 0; i <= c.size(); ++i) {
+    const double ci = i == 0 ? 1.0 : sign * c[i - 1];
+    for (std::size_t j = 0; j <= C.size(); ++j) {
+      if (i == 0 && j == 0) continue;
+      const double cj = j == 0 ? 1.0 : sign * C[j - 1];
+      out[i + j * s1 - 1] += ci * cj;
+    }
+  }
+  if (sign < 0.0)
+    for (double& v : out) v = -v;
 }
 
-/// Maps unconstrained optimiser parameters to coefficients of a
-/// stationary AR polynomial via tanh + Durbin-Levinson.
-std::vector<double> constrain_ar(std::span<const double> raw) {
+/// Maps unconstrained optimiser parameters to the coefficients of a
+/// stationary AR polynomial via tanh + Durbin-Levinson, into `out`.
+void constrain_ar(std::span<const double> raw, std::span<double> out) {
   // tanh rounds to exactly +-1.0 for |raw| >~ 19, which pacf_to_ar
   // rejects; warm starts seeded near the stationarity boundary can push
   // the optimiser there, so keep the partials strictly inside (-1, 1).
   constexpr double kEdge = 1.0 - 1e-9;
-  std::vector<double> partial(raw.size());
   for (std::size_t i = 0; i < raw.size(); ++i)
-    partial[i] = std::clamp(std::tanh(raw[i]), -kEdge, kEdge);
-  return pacf_to_ar(partial);
+    out[i] = std::clamp(std::tanh(raw[i]), -kEdge, kEdge);
+  pacf_to_ar_in_place(out);
 }
 
 /// Inverse of the fitter's `unpack`: the unconstrained optimiser vector
@@ -79,21 +93,17 @@ std::vector<double> expand_ar(std::span<const double> phi,
                               std::span<const double> sphi, std::size_t s) {
   // (1 - sum phi B)(1 - sum sphi B^s) = sum c_l B^l with c_0 = 1; the
   // recursion coefficient on lag l is -c_l.
-  const auto nonseasonal = lag_poly(phi, -1.0, 1);
-  const auto seasonal = lag_poly(sphi, -1.0, std::max<std::size_t>(s, 1));
-  const auto prod = poly_multiply(nonseasonal, seasonal);
-  std::vector<double> out(prod.size() - 1);
-  for (std::size_t l = 1; l < prod.size(); ++l) out[l - 1] = -prod[l];
+  std::vector<double> out(phi.size() +
+                          sphi.size() * std::max<std::size_t>(s, 1));
+  expand_into(phi, sphi, s, -1.0, out);
   return out;
 }
 
 std::vector<double> expand_ma(std::span<const double> theta,
                               std::span<const double> stheta, std::size_t s) {
-  const auto nonseasonal = lag_poly(theta, 1.0, 1);
-  const auto seasonal = lag_poly(stheta, 1.0, std::max<std::size_t>(s, 1));
-  const auto prod = poly_multiply(nonseasonal, seasonal);
-  std::vector<double> out(prod.size() - 1);
-  for (std::size_t l = 1; l < prod.size(); ++l) out[l - 1] = prod[l];
+  std::vector<double> out(theta.size() +
+                          stheta.size() * std::max<std::size_t>(s, 1));
+  expand_into(theta, stheta, s, 1.0, out);
   return out;
 }
 
@@ -217,85 +227,103 @@ SarimaModel fit_sarima_impl(std::span<const double> x,
       (options.mean == SarimaFitOptions::Mean::Auto &&
        order.d + order.D == 0);
 
-  const std::size_t np = order.p, nq = order.q, nP = order.P, nQ = order.Q;
-  const std::size_t n_coef = np + nq + nP + nQ;
+  const std::size_t n_coef = order.num_coefficients();
   const double w_mean = rrp::stats::mean(w);
 
   // Parameter vector layout: [phi raw | theta raw | sphi raw | stheta
-  // raw | mean (if included)].
-  struct Unpacked {
-    std::vector<double> phi, theta, sphi, stheta;
-    double mean;
-  };
-  auto unpack = [&](const std::vector<double>& u) {
-    Unpacked r;
+  // raw | mean (if included)].  `unpack` writes the coefficients into
+  // buffers sized once per fit, so an evaluation allocates nothing.
+  std::vector<double> phi(order.p), theta(order.q), sphi(order.P),
+      stheta(order.Q), ar_full(max_ar_lag), ma_full(max_ma_lag);
+  double mean = 0.0;
+  auto unpack = [&](std::span<const double> u) {
     std::size_t k = 0;
-    r.phi = constrain_ar({u.data() + k, np});
-    k += np;
-    // Invertible MA: (1 + sum theta B) stable iff (1 - sum(-theta) B)
-    // stationary, so constrain through the AR map and negate.
-    r.theta = constrain_ar({u.data() + k, nq});
-    for (double& v : r.theta) v = -v;
-    k += nq;
-    r.sphi = constrain_ar({u.data() + k, nP});
-    k += nP;
-    r.stheta = constrain_ar({u.data() + k, nQ});
-    for (double& v : r.stheta) v = -v;
-    k += nQ;
-    r.mean = include_mean ? u[k] : 0.0;
-    return r;
+    auto take = [&](std::span<double> out, bool negate) {
+      constrain_ar(u.subspan(k, out.size()), out);
+      k += out.size();
+      // Invertible MA: (1 + sum theta B) stable iff (1 - sum(-theta) B)
+      // stationary, so constrain through the AR map and negate.
+      if (negate)
+        for (double& v : out) v = -v;
+    };
+    take(phi, false);
+    take(theta, true);
+    take(sphi, false);
+    take(stheta, true);
+    mean = include_mean ? u[k] : 0.0;
+    expand_into(phi, sphi, order.s, -1.0, ar_full);
+    expand_into(theta, stheta, order.s, 1.0, ma_full);
   };
 
-  // Buffers reused across the optimiser's evaluations of this one fit.
+  // The residuals after the warm-up that conditions on unknown
+  // pre-sample values.
+  const std::size_t warm_up = std::max(max_ar_lag, max_ma_lag);
   std::vector<double> e(w.size());
   SparseLags lags;
-  auto css_of = [&](const std::vector<double>& u) {
-    const Unpacked r = unpack(u);
-    const auto ar_full = expand_ar(r.phi, r.sphi, order.s);
-    const auto ma_full = expand_ma(r.theta, r.stheta, order.s);
+  lags.ar.reserve(max_ar_lag);
+  lags.ma.reserve(max_ma_lag);
+  const ResidualFn residuals = [&](std::span<const double> u) {
+    unpack(u);
     lags.assign(ar_full, ma_full);
-    sparse_css(w, r.mean, lags, e);
-    // Skip the warm-up residuals that condition on unknown pre-sample
-    // values.
-    return sum_of_squares(e, std::max(ar_full.size(), ma_full.size()));
+    sparse_css(w, mean, lags, e);
+    return std::span<const double>(e).subspan(warm_up);
   };
 
-  std::vector<double> start(n_coef + (include_mean ? 1 : 0), 0.0);
-  if (include_mean) start.back() = w_mean;
+  LeastSquaresResult opt_result;
   if (!warm_start.empty()) {
-    RRP_EXPECTS(warm_start.size() == start.size());
-    start.assign(warm_start.begin(), warm_start.end());
-  }
-
-  NelderMeadResult opt_result;
-  if (start.empty()) {
-    opt_result.x = {};
-    opt_result.value = css_of({});
+    RRP_EXPECTS(warm_start.size() == n_coef + (include_mean ? 1 : 0));
+    opt_result = levenberg_marquardt(
+        residuals, {warm_start.begin(), warm_start.end()},
+        options.optimizer);
+  } else if (n_coef == 0 && !include_mean) {
+    opt_result.value = sum_of_squares(residuals({}), 0);
     opt_result.converged = true;
   } else {
-    NelderMeadOptions nm = options.optimizer;
-    // The mean lives on the data scale; everything else is O(1).
-    opt_result = nelder_mead(css_of, start, nm);
+    // The CSS of an ARMA model is multimodal (an AR and an MA root can
+    // nearly cancel), so where a local method ends depends on where it
+    // starts.  A cold fit starts from white noise (zero coefficients)
+    // and then from persistent prices (every partial at tanh(0.5),
+    // signed so the AR and MA coefficients are positive), both at the
+    // sample mean, and keeps the lower CSS.  The evaluation cap covers
+    // both runs.
+    std::vector<double> start(n_coef, 0.0);
+    if (include_mean) start.push_back(w_mean);
+    opt_result = levenberg_marquardt(residuals, start, options.optimizer);
+    LeastSquaresOptions rest = options.optimizer;
+    rest.max_evaluations -= opt_result.evaluations;
+    if (n_coef > 0 && rest.max_evaluations > 0) {
+      std::size_t k = 0;
+      for (const auto& [count, raw] :
+           {std::pair{order.p, 0.5}, std::pair{order.q, -0.5},
+            std::pair{order.P, 0.5}, std::pair{order.Q, -0.5}})
+        for (std::size_t i = 0; i < count; ++i) start[k++] = raw;
+      LeastSquaresResult second =
+          levenberg_marquardt(residuals, std::move(start), rest);
+      second.evaluations += opt_result.evaluations;
+      if (second.value < opt_result.value) {
+        opt_result = std::move(second);
+      } else {
+        opt_result.evaluations = second.evaluations;
+      }
+    }
   }
   RRP_COUNTER_ADD("rrp.ts.sarima_fits", 1);
   RRP_COUNTER_ADD("rrp.ts.sarima_fit_evaluations", opt_result.evaluations);
   RRP_TRACE_ARG("evaluations", opt_result.evaluations);
 
-  const Unpacked fitted = unpack(opt_result.x);
+  unpack(opt_result.x);
   SarimaModel model;
   model.order = order;
-  model.phi = fitted.phi;
-  model.theta = fitted.theta;
-  model.sphi = fitted.sphi;
-  model.stheta = fitted.stheta;
-  model.ar_full = expand_ar(fitted.phi, fitted.sphi, order.s);
-  model.ma_full = expand_ma(fitted.theta, fitted.stheta, order.s);
-  model.mean = fitted.mean;
+  model.phi = std::move(phi);
+  model.theta = std::move(theta);
+  model.sphi = std::move(sphi);
+  model.stheta = std::move(stheta);
+  model.ar_full = std::move(ar_full);
+  model.ma_full = std::move(ma_full);
+  model.mean = mean;
   model.has_mean = include_mean;
   model.css = opt_result.value;
-  const std::size_t start_t =
-      std::max(model.ar_full.size(), model.ma_full.size());
-  model.n_effective = w.size() - start_t;
+  model.n_effective = w.size() - warm_up;
   RRP_ENSURES(model.n_effective > 0);
   const double n = static_cast<double>(model.n_effective);
   model.sigma2 = std::max(model.css / n, 1e-300);

@@ -6,10 +6,10 @@
 //
 //  * multiplicative seasonal lag polynomials expanded to plain AR/MA
 //    coefficient vectors;
-//  * conditional-sum-of-squares (CSS) estimation, optimised by
-//    Nelder-Mead over a partial-autocorrelation parametrisation that
-//    keeps the AR side stationary and the MA side invertible by
-//    construction;
+//  * conditional-sum-of-squares (CSS) estimation: Levenberg-Marquardt
+//    on the CSS residuals over a partial-autocorrelation
+//    parametrisation that keeps the AR side stationary and the MA side
+//    invertible by construction;
 //  * recursive multi-step forecasting with differencing inversion.
 //
 // One CSS recursion serves the fitter, the refit diagnostics,
@@ -46,7 +46,7 @@ struct SarimaFitOptions {
   /// R convention: only when no differencing is applied.
   enum class Mean { Auto, Include, Exclude };
   Mean mean = Mean::Auto;
-  NelderMeadOptions optimizer;
+  LeastSquaresOptions optimizer;
 };
 
 struct SarimaModel {
@@ -109,7 +109,7 @@ SarimaModel fit_sarima(std::span<const double> x, const SarimaOrder& order,
 //                 pass: the incumbent is returned untouched (one CSS
 //                 pass over the diagnostic window).
 //   WarmRefit     mild drift: re-estimate on the diagnostic window,
-//                 with Nelder-Mead seeded at the incumbent parameter
+//                 with the optimiser seeded at the incumbent parameter
 //                 vector (via ar_to_pacf) and a small evaluation cap.
 //   ScratchRefit  severe drift: full fit on the diagnostic window from
 //                 the default cold start.
@@ -119,8 +119,8 @@ enum class SarimaRefitAction { Kept, WarmRefit, ScratchRefit };
 const char* to_string(SarimaRefitAction action);
 
 struct SarimaRefitOptions {
-  /// Nelder-Mead evaluation cap for warm-started refits (the cold-start
-  /// cap lives in `scratch.optimizer`).
+  /// Cap on residual evaluations for warm-started refits (the
+  /// cold-start cap lives in `scratch.optimizer`).
   std::size_t warm_max_evaluations = 400;
   /// Keep the incumbent while (residual variance on new data) /
   /// (incumbent sigma2) stays at or below this ratio...

@@ -126,7 +126,7 @@ TEST(PacfToAr, RejectsBoundaryValues) {
 
 // --- ar_to_pacf (ISSUE 10: warm-started refits) ------------------------
 //
-// Warm refits seed Nelder-Mead at the incumbent by mapping its AR
+// Warm refits seed the optimiser at the incumbent by mapping its AR
 // coefficients back to the unconstrained partial scale, so the step-down
 // must invert pacf_to_ar exactly on the stationary region and stay
 // strictly inside (-1, 1) even for coefficients at or past the boundary

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/thread_pool.hpp"
+#include "market/trace_generator.hpp"
 #include "obs/registry.hpp"
 #include "timeseries/acf.hpp"
 #include "timeseries/series.hpp"
@@ -569,6 +572,7 @@ TEST(SparseCssKernel, ResidualsAndForecastsMatchDenseRecursionBitForBit) {
 struct ReferenceFit {
   std::vector<double> phi, theta, sphi, stheta;
   double mean = 0.0;
+  bool has_mean = false;
   double css = 0.0;
   std::size_t evaluations = 0;
 };
@@ -581,43 +585,69 @@ std::vector<double> reference_constrain(std::span<const double> raw) {
   return pacf_to_ar(partial);
 }
 
-ReferenceFit reference_fit(std::span<const double> x,
-                           const SarimaOrder& order, bool include_mean,
-                           std::vector<double> start,
-                           const NelderMeadOptions& nm) {
-  const std::vector<double> w = apply_differencing(x, order);
-  auto unpack = [&](const std::vector<double>& u) {
+/// The CSS problem of one fit over the dense reference residuals.
+class ReferenceProblem {
+ public:
+  ReferenceProblem(std::span<const double> x, const SarimaOrder& order,
+                   bool include_mean)
+      : order_(order),
+        include_mean_(include_mean),
+        w_(apply_differencing(x, order)) {}
+
+  ReferenceFit unpack(std::span<const double> u) const {
     ReferenceFit r;
     std::size_t k = 0;
     auto take = [&](std::size_t n, bool negate) {
-      auto c = reference_constrain({u.data() + k, n});
+      auto c = reference_constrain(u.subspan(k, n));
       k += n;
       if (negate)
         for (double& v : c) v = -v;
       return c;
     };
-    r.phi = take(order.p, false);
-    r.theta = take(order.q, true);
-    r.sphi = take(order.P, false);
-    r.stheta = take(order.Q, true);
-    r.mean = include_mean ? u[k] : 0.0;
+    r.phi = take(order_.p, false);
+    r.theta = take(order_.q, true);
+    r.sphi = take(order_.P, false);
+    r.stheta = take(order_.Q, true);
+    r.mean = include_mean_ ? u[k] : 0.0;
+    r.has_mean = include_mean_;
     return r;
-  };
-  auto css = [&](const std::vector<double>& u) {
+  }
+
+  /// Residuals after the warm-up; valid until the next call.
+  std::span<const double> residuals(std::span<const double> u) {
     const ReferenceFit r = unpack(u);
-    const auto ar_full = expand_ar(r.phi, r.sphi, order.s);
-    const auto ma_full = expand_ma(r.theta, r.stheta, order.s);
-    std::vector<double> z(w.size());
-    for (std::size_t t = 0; t < w.size(); ++t) z[t] = w[t] - r.mean;
-    const auto e = dense_css_residuals(z, ar_full, ma_full);
+    const auto ar_full = expand_ar(r.phi, r.sphi, order_.s);
+    const auto ma_full = expand_ma(r.theta, r.stheta, order_.s);
+    std::vector<double> z(w_.size());
+    for (std::size_t t = 0; t < w_.size(); ++t) z[t] = w_[t] - r.mean;
+    e_ = dense_css_residuals(z, ar_full, ma_full);
+    return std::span<const double>(e_).subspan(
+        std::max(ar_full.size(), ma_full.size()));
+  }
+
+  double css(std::span<const double> u) {
     double sse = 0.0;
-    for (std::size_t t = std::max(ar_full.size(), ma_full.size());
-         t < e.size(); ++t)
-      sse += e[t] * e[t];
+    for (double v : residuals(u)) sse += v * v;
     return sse;
-  };
-  const NelderMeadResult opt = nelder_mead(css, std::move(start), nm);
-  ReferenceFit out = unpack(opt.x);
+  }
+
+ private:
+  SarimaOrder order_;
+  bool include_mean_;
+  std::vector<double> w_;
+  std::vector<double> e_;
+};
+
+/// Levenberg-Marquardt on the dense reference residuals.
+ReferenceFit reference_fit(std::span<const double> x,
+                           const SarimaOrder& order, bool include_mean,
+                           std::vector<double> start,
+                           const LeastSquaresOptions& lm) {
+  ReferenceProblem problem(x, order, include_mean);
+  const LeastSquaresResult opt = levenberg_marquardt(
+      [&](std::span<const double> u) { return problem.residuals(u); },
+      std::move(start), lm);
+  ReferenceFit out = problem.unpack(opt.x);
   out.css = opt.value;
   out.evaluations = opt.evaluations;
   return out;
@@ -632,8 +662,48 @@ std::vector<double> cold_start(std::span<const double> x,
   return start;
 }
 
-/// The warm start: the incumbent mapped back to optimiser space.
-std::vector<double> warm_start(const SarimaModel& m) {
+/// The cold fit: from the zero start, then from the persistent start
+/// (AR partials at tanh(0.5), MA partials at tanh(-0.5) before the
+/// negated map) with the evaluations left, keeping the lower CSS.
+ReferenceFit reference_cold_fit(std::span<const double> x,
+                                const SarimaOrder& order, bool include_mean,
+                                const LeastSquaresOptions& lm) {
+  std::vector<double> start = cold_start(x, order, include_mean);
+  ReferenceFit best = reference_fit(x, order, include_mean, start, lm);
+  LeastSquaresOptions rest = lm;
+  rest.max_evaluations -= best.evaluations;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < order.p; ++i) start[k++] = 0.5;
+  for (std::size_t i = 0; i < order.q; ++i) start[k++] = -0.5;
+  for (std::size_t i = 0; i < order.P; ++i) start[k++] = 0.5;
+  for (std::size_t i = 0; i < order.Q; ++i) start[k++] = -0.5;
+  ReferenceFit second =
+      reference_fit(x, order, include_mean, std::move(start), rest);
+  second.evaluations += best.evaluations;
+  if (second.css < best.css) return second;
+  best.evaluations = second.evaluations;
+  return best;
+}
+
+/// Nelder-Mead on the sum of the same squared residuals: the fit-quality
+/// reference.
+ReferenceFit nelder_mead_fit(std::span<const double> x,
+                             const SarimaOrder& order, bool include_mean,
+                             std::vector<double> start,
+                             const NelderMeadOptions& nm) {
+  ReferenceProblem problem(x, order, include_mean);
+  const NelderMeadResult opt = nelder_mead(
+      [&](const std::vector<double>& u) { return problem.css(u); },
+      std::move(start), nm);
+  ReferenceFit out = problem.unpack(opt.x);
+  out.css = opt.value;
+  out.evaluations = opt.evaluations;
+  return out;
+}
+
+/// The warm start: a fitted model mapped back to optimiser space.
+template <typename Model>
+std::vector<double> warm_start(const Model& m) {
   std::vector<double> raw;
   auto append = [&raw](std::vector<double> c, bool negate) {
     if (negate)
@@ -675,19 +745,19 @@ std::vector<double> seasonal_series(double sd, std::size_t n,
   return simulate_arma(ar, {}, 2.0, sd, n, seed);
 }
 
-TEST(SparseCssKernel, FitFollowsTheDenseNelderMeadTrajectory) {
+TEST(SparseCssKernel, FitFollowsTheDenseLevenbergMarquardtTrajectory) {
   const auto x = seasonal_series(1.0, 400, 950);
   const SarimaOrder order = paper_order();
   const SarimaFitOptions options;
-  const ReferenceFit want = reference_fit(
-      x, order, true, cold_start(x, order, true), options.optimizer);
+  const ReferenceFit want =
+      reference_cold_fit(x, order, true, options.optimizer);
   const std::uint64_t before = fit_evaluations();
   const SarimaModel got = fit_sarima(x, order, options);
   EXPECT_EQ(fit_evaluations() - before, want.evaluations);
   expect_same_fit(got, want);
 }
 
-TEST(SparseCssKernel, RefitTiersFollowTheDenseNelderMeadTrajectory) {
+TEST(SparseCssKernel, RefitTiersFollowTheDenseLevenbergMarquardtTrajectory) {
   const SarimaOrder order = paper_order();
   const SarimaModel incumbent =
       fit_sarima(seasonal_series(1.0, 400, 951), order);
@@ -702,22 +772,108 @@ TEST(SparseCssKernel, RefitTiersFollowTheDenseNelderMeadTrajectory) {
                           Tier{2.5, SarimaRefitAction::ScratchRefit}}) {
     const auto x = seasonal_series(tier.sd, 300, 952);
     ASSERT_LE(x.size(), options.diagnostic_window);
-    NelderMeadOptions nm = options.scratch.optimizer;
-    std::vector<double> start;
+    LeastSquaresOptions lm = options.scratch.optimizer;
+    ReferenceFit want;
     if (tier.action == SarimaRefitAction::WarmRefit) {
-      nm.max_evaluations = options.warm_max_evaluations;
-      start = warm_start(incumbent);
+      lm.max_evaluations = options.warm_max_evaluations;
+      want = reference_fit(x, order, incumbent.has_mean,
+                           warm_start(incumbent), lm);
     } else {
-      start = cold_start(x, order, incumbent.has_mean);
+      want = reference_cold_fit(x, order, incumbent.has_mean, lm);
     }
-    const ReferenceFit want =
-        reference_fit(x, order, incumbent.has_mean, std::move(start), nm);
     const std::uint64_t before = fit_evaluations();
     const SarimaRefitResult got = refit_sarima(incumbent, x, options);
     ASSERT_EQ(got.action, tier.action);
     EXPECT_EQ(fit_evaluations() - before, want.evaluations);
     expect_same_fit(got.model, want);
   }
+}
+
+// --- Fit quality against Nelder-Mead -----------------------------------
+//
+// Levenberg-Marquardt and Nelder-Mead are both local methods, so neither
+// wins every fit; over a corpus of market windows at the paper order the
+// least-squares fits must be as good in sum and in the median, for a
+// third of the residual passes or fewer.
+
+TEST(FitSarima, LevenbergMarquardtMatchesNelderMeadOnMarketWindows) {
+  constexpr std::size_t kWindows = 64;
+  constexpr std::size_t kWindow = 168;  // one week of hourly prices
+  constexpr std::size_t kStride = 24;
+  constexpr std::size_t kColdCap = 4000;  // the policies' cold-fit cap
+  const std::vector<double> hourly =
+      rrp::market::generate_trace(rrp::market::VmClass::C1Medium, 2012)
+          .hourly();
+  ASSERT_GE(hourly.size(), kWindows * kStride + kWindow);
+  const SarimaOrder order = paper_order();
+
+  SarimaFitOptions cold;
+  cold.optimizer.max_evaluations = kColdCap;
+  NelderMeadOptions nm_cold;
+  nm_cold.max_evaluations = kColdCap;
+  // Warm refits on the window itself, whatever the drift.
+  SarimaRefitOptions warm;
+  warm.diagnostic_window = kWindow;
+  warm.ljung_box_alpha = 2.0;
+  warm.scratch_variance_ratio = std::numeric_limits<double>::infinity();
+  warm.scratch = cold;
+  NelderMeadOptions nm_warm;
+  nm_warm.max_evaluations = warm.warm_max_evaluations;
+
+  std::vector<double> lm_css, nm_css;
+  std::size_t lm_passes = 0, nm_passes = 0;
+  SarimaModel lm_prev;
+  ReferenceFit nm_prev;
+  for (std::size_t i = 0; i < kWindows; ++i) {
+    const std::span<const double> x(hourly.data() + i * kStride, kWindow);
+    const std::uint64_t before = fit_evaluations();
+    const SarimaModel lm = fit_sarima(x, order, cold);
+    const ReferenceFit nm =
+        nelder_mead_fit(x, order, true, cold_start(x, order, true), nm_cold);
+    lm_css.push_back(lm.css);
+    nm_css.push_back(nm.css);
+    if (i > 0) {
+      const SarimaRefitResult lm_warm = refit_sarima(lm_prev, x, warm);
+      ASSERT_EQ(lm_warm.action, SarimaRefitAction::WarmRefit);
+      const ReferenceFit nm_warm_fit =
+          nelder_mead_fit(x, order, true, warm_start(nm_prev), nm_warm);
+      lm_css.push_back(lm_warm.model.css);
+      nm_css.push_back(nm_warm_fit.css);
+      nm_passes += nm_warm_fit.evaluations;
+    }
+    lm_passes += fit_evaluations() - before;
+    nm_passes += nm.evaluations;
+    lm_prev = lm;
+    nm_prev = nm;
+  }
+
+  double lm_sum = 0.0, nm_sum = 0.0, worst = 0.0;
+  std::size_t better = 0, equal = 0, worse = 0;
+  std::vector<double> ratios;
+  for (std::size_t k = 0; k < lm_css.size(); ++k) {
+    lm_sum += lm_css[k];
+    nm_sum += nm_css[k];
+    const double ratio = lm_css[k] / nm_css[k];
+    ratios.push_back(ratio);
+    worst = std::max(worst, ratio);
+    if (ratio < 1.0 - 1e-9) {
+      ++better;
+    } else if (ratio > 1.0 + 1e-9) {
+      ++worse;
+    } else {
+      ++equal;
+    }
+  }
+  std::printf(
+      "fits %zu: better %zu, equal %zu, worse %zu (1e-9 relative); worst "
+      "ratio %.6g; CSS sum %.9g vs %.9g; passes %zu vs %zu\n",
+      lm_css.size(), better, equal, worse, worst, lm_sum, nm_sum, lm_passes,
+      nm_passes);
+  std::nth_element(ratios.begin(), ratios.begin() + long(ratios.size() / 2),
+                   ratios.end());
+  EXPECT_LE(lm_sum, nm_sum);
+  EXPECT_LE(ratios[ratios.size() / 2], 1.0 + 1e-9);
+  EXPECT_LE(3 * lm_passes, nm_passes);
 }
 
 // --- Concurrent fits ---------------------------------------------------
