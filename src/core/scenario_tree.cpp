@@ -12,6 +12,7 @@ namespace rrp::core {
 
 ScenarioTree ScenarioTree::build(
     std::span<const std::vector<PricePoint>> stage_supports) {
+  RRP_TRACE_SPAN("tree.build");
   RRP_EXPECTS(!stage_supports.empty());
   for (const auto& support : stage_supports) {
     RRP_EXPECTS(!support.empty());

@@ -14,6 +14,29 @@
 // seconds-to-hours for branch & bound on the deterministic equivalent.
 //
 // Requires an uncapacitated instance (like Wagner-Whitin for DRRP).
+//
+// Memo layout.  A state is keyed by llround(x * 1e9) of its entering
+// inventory x; the first x that misses a key computes the entry, and
+// later inventories rounding to that key read it.  Storage is flat and
+// local to one solve:
+//   * the vertices in one pre-order array, so the production candidates
+//     of u (its subtree) are the contiguous range [begin(u), +size(u));
+//   * every memoised state in one pool of (key, entry, next) slots,
+//     chained per vertex;
+//   * a per-(vertex, candidate, child) cache of the child's value at the
+//     candidate's outgoing inventory, which does not depend on x: filled
+//     on the first state that uses it, read by every later one;
+//   * per-vertex demand, root-path demand and probability-weighted unit
+//     prices.
+// Nothing is static or thread_local, so concurrent solves share nothing.
+//
+// Bit-identity contract.  The recursion, its DFS evaluation order, the
+// strict-< tie-break (the first candidate in pre-order wins a tie), the
+// summation order of every cost and the deadline polls (once per
+// uncached state) are those of the hash-map DP this replaced, so
+// policies, expected cost and the representative x of each rounded key
+// are bit-identical to it.  tests/test_srrp_dp.cpp keeps that DP as a
+// frozen reference and compares the two bit for bit.
 #pragma once
 
 #include "common/deadline.hpp"

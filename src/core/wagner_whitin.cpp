@@ -5,11 +5,13 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "obs/obs.hpp"
 
 namespace rrp::core {
 
 RentalPlan solve_drrp_wagner_whitin(const DrrpInstance& inst,
                                     const common::Deadline& deadline) {
+  RRP_TRACE_SPAN("dp.wagner_whitin");
   inst.validate();
   if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
     throw InvalidArgument(

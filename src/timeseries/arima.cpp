@@ -439,6 +439,7 @@ SarimaRefitResult refit_sarima(const SarimaModel& incumbent,
 
 std::vector<double> forecast(const SarimaModel& model,
                              std::span<const double> x, std::size_t h) {
+  RRP_TRACE_SPAN("ts.forecast");
   RRP_EXPECTS(h >= 1);
   const SarimaOrder& order = model.order;
 

@@ -8,6 +8,7 @@
 #include "common/rng.hpp"
 #include "core/demand.hpp"
 #include "market/trace_generator.hpp"
+#include "obs/trace.hpp"
 
 namespace {
 
@@ -289,6 +290,42 @@ TEST(ReplanCadence, ValidationRejectsBadCadence) {
   EXPECT_THROW(policy.validate(), rrp::ContractViolation);
   policy.replan_every = policy.lookahead + 1;
   EXPECT_THROW(policy.validate(), rrp::ContractViolation);
+}
+
+TEST(ReplanSpans, ForecastTreeBuildAndDpSolvesNestUnderReplan) {
+  // A re-plan's own work is split into spans: the SARIMA forecast, the
+  // scenario-tree build and both DP planners each open inside rh.replan.
+  auto& recorder = rrp::obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.enable();
+  const auto in = make_inputs(VmClass::M1Large, 4, 31);
+  (void)simulate_policy(in, sto_predict_policy());  // SRRP, tree DP
+  (void)simulate_policy(in, det_predict_policy());  // DRRP, Wagner-Whitin
+  recorder.disable();
+  const auto spans = recorder.collect();
+  recorder.clear();
+
+  const auto inside = [](const rrp::obs::SpanRecord& child,
+                         const rrp::obs::SpanRecord& parent) {
+    return child.tid == parent.tid && child.depth > parent.depth &&
+           child.start_seconds >= parent.start_seconds &&
+           child.start_seconds + child.dur_seconds <=
+               parent.start_seconds + parent.dur_seconds;
+  };
+  for (const std::string name :
+       {"ts.forecast", "tree.build", "dp.tree", "dp.wagner_whitin"}) {
+    std::size_t nested = 0;
+    for (const auto& span : spans) {
+      if (span.name != name) continue;
+      for (const auto& replan : spans) {
+        if (std::string(replan.name) == "rh.replan" && inside(span, replan)) {
+          ++nested;
+          break;
+        }
+      }
+    }
+    EXPECT_GT(nested, 0u) << name << " never opened inside rh.replan";
+  }
 }
 
 }  // namespace
