@@ -151,8 +151,9 @@ Record bench_milp(std::string name, Solve&& solve) {
   Record rec;
   rec.name = std::move(name);
   std::size_t nodes = 0, warm = 0, cold = 0;
-  // Always-on B&B counter that feeds MipResult::lp_iterations, so the
-  // pivot count for check_perf.py's max_pivots caps matches the result.
+  // The plans do not carry MipResult::lp_iterations; each solve adds it
+  // to this counter, so its delta is the pivot count for check_perf.py's
+  // max_pivots caps.
   const obs::Counter& lp_iterations =
       obs::global_registry().counter("rrp.bnb.lp_iterations");
   rec.median_seconds = median_seconds([&] {

@@ -105,33 +105,6 @@ namespace {
 
 constexpr double kPriceFloor = 1e-4;
 
-/// Process-wide degradation telemetry, held as cached counter references
-/// rather than fed through the macros: the SimulationResult fallback
-/// counters are computed as before/after deltas over these in
-/// PolicyRunner::run(), and the cached references keep registry lookups
-/// off the replan path.  (Same pattern as SolveCounters in
-/// milp/branch_and_bound.cpp.)
-struct RhCounters {
-  obs::Counter& replans = obs::global_registry().counter("rrp.rh.replans");
-  obs::Counter& replan_timeouts =
-      obs::global_registry().counter("rrp.rh.replan_timeouts");
-  obs::Counter& replan_numerical_failures =
-      obs::global_registry().counter("rrp.rh.replan_numerical_failures");
-  obs::Counter& replans_rejected =
-      obs::global_registry().counter("rrp.rh.replans_rejected");
-  obs::Counter& fallback_reused_tail =
-      obs::global_registry().counter("rrp.rh.fallback_reused_tail");
-  obs::Counter& fallback_heuristic =
-      obs::global_registry().counter("rrp.rh.fallback_heuristic");
-  obs::Counter& fallback_on_demand =
-      obs::global_registry().counter("rrp.rh.fallback_on_demand");
-};
-
-RhCounters& rh_counters() {
-  static RhCounters counters;
-  return counters;
-}
-
 /// Execution engine for one (inputs, policy) pair.
 class PolicyRunner {
  public:
@@ -461,7 +434,7 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
   RRP_TRACE_SPAN("rh.replan");
   RRP_TRACE_ARG("slot", t);
   RRP_TRACE_ARG("window", w);
-  rh_counters().replans.add(1);
+  RRP_COUNTER_ADD("rrp.rh.replans", 1);
   // Refresh models at the configured cadence; the construction-time fit
   // covers the first plan.
   if (cfg_.model_update_every > 0 && replans_done_ > 0 &&
@@ -576,13 +549,16 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
                            FallbackReason reason) {
   switch (reason) {
     case FallbackReason::SolverTimeout:
-      rh_counters().replan_timeouts.add(1);
+      ++result_.replan_timeouts;
+      RRP_COUNTER_ADD("rrp.rh.replan_timeouts", 1);
       break;
     case FallbackReason::NumericalFailure:
-      rh_counters().replan_numerical_failures.add(1);
+      ++result_.replan_numerical_failures;
+      RRP_COUNTER_ADD("rrp.rh.replan_numerical_failures", 1);
       break;
     case FallbackReason::PlanRejected:
-      rh_counters().replans_rejected.add(1);
+      ++result_.replans_rejected;
+      RRP_COUNTER_ADD("rrp.rh.replans_rejected", 1);
       break;
   }
   FallbackEvent ev;
@@ -595,7 +571,8 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
   // plan-consistent).
   if (plan_covers(t)) {
     ev.action = FallbackAction::ReusedPlanTail;
-    rh_counters().fallback_reused_tail.add(1);
+    ++result_.fallback_reused_tail;
+    RRP_COUNTER_ADD("rrp.rh.fallback_reused_tail", 1);
     handled = true;
   }
 
@@ -609,7 +586,8 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
       if (plan.feasible()) {
         commit_schedule(t, std::move(plan), estimates);
         ev.action = FallbackAction::HeuristicPlan;
-        rh_counters().fallback_heuristic.add(1);
+        ++result_.fallback_heuristic;
+        RRP_COUNTER_ADD("rrp.rh.fallback_heuristic", 1);
         handled = true;
       }
     } catch (const Error&) {
@@ -622,7 +600,8 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
   if (!handled) {
     mode_ = PlanMode::None;
     ev.action = FallbackAction::OnDemand;
-    rh_counters().fallback_on_demand.add(1);
+    ++result_.fallback_on_demand;
+    RRP_COUNTER_ADD("rrp.rh.fallback_on_demand", 1);
   }
 
   // Single exit: exactly one FallbackEvent per degraded re-plan, no
@@ -869,20 +848,6 @@ void PolicyRunner::observe_tick(std::size_t t) {
 
 SimulationResult PolicyRunner::run() {
   RRP_TRACE_SPAN("rh.simulate");
-  // Compatibility view: the SimulationResult degradation counters are
-  // deltas over the process-wide registry across this simulation.
-  // Exact whenever simulations do not overlap in one process; under
-  // evaluate_policies' parallel trials the overlapping windows can
-  // cross-attribute these diagnostics, but that path consumes only
-  // costs and per-slot records, never the fallback counts.
-  const RhCounters& tel = rh_counters();
-  const std::uint64_t timeouts0 = tel.replan_timeouts.value();
-  const std::uint64_t numerical0 = tel.replan_numerical_failures.value();
-  const std::uint64_t rejected0 = tel.replans_rejected.value();
-  const std::uint64_t reused0 = tel.fallback_reused_tail.value();
-  const std::uint64_t heuristic0 = tel.fallback_heuristic.value();
-  const std::uint64_t on_demand0 = tel.fallback_on_demand.value();
-
   const std::size_t T = in_.horizon();
   result_.slots.reserve(T);
   double store = in_.initial_storage;
@@ -940,18 +905,6 @@ SimulationResult PolicyRunner::run() {
     observe_tick(t);
   }
 
-  result_.replan_timeouts =
-      static_cast<std::size_t>(tel.replan_timeouts.value() - timeouts0);
-  result_.replan_numerical_failures = static_cast<std::size_t>(
-      tel.replan_numerical_failures.value() - numerical0);
-  result_.replans_rejected =
-      static_cast<std::size_t>(tel.replans_rejected.value() - rejected0);
-  result_.fallback_reused_tail =
-      static_cast<std::size_t>(tel.fallback_reused_tail.value() - reused0);
-  result_.fallback_heuristic =
-      static_cast<std::size_t>(tel.fallback_heuristic.value() - heuristic0);
-  result_.fallback_on_demand =
-      static_cast<std::size_t>(tel.fallback_on_demand.value() - on_demand0);
   return std::move(result_);
 }
 

@@ -27,11 +27,9 @@ constexpr double kReplacePivotRatio = 1e-6;
 /// the end of a solve refactorises and recomputes x_B.
 constexpr double kResidualTol = 1e-9;
 
-// Factorisation telemetry feeds the registry through these cached
-// accessors rather than the macros: several sites share each counter,
-// and the milp::MipResult compatibility view reads the same counters at
-// solve end.  One sharded relaxed add per event; the registry lookup
-// runs once per process.
+// Process-wide factorisation counters for the metrics scrape; a
+// solver's own counts are its factor_stats().  Three sites share the
+// eta counter, so both are cached accessors rather than macro sites.
 obs::Counter& refactorizations_counter() {
   static obs::Counter& c =
       obs::global_registry().counter("rrp.lp.refactorizations");
@@ -41,11 +39,6 @@ obs::Counter& eta_updates_counter() {
   static obs::Counter& c =
       obs::global_registry().counter("rrp.lp.eta_updates");
   return c;
-}
-obs::Gauge& fill_ratio_sum_gauge() {
-  static obs::Gauge& g =
-      obs::global_registry().gauge("rrp.lp.fill_ratio_total");
-  return g;
 }
 }  // namespace
 
@@ -161,7 +154,6 @@ void SimplexSolver::refactorize() {
   ++factor_stats_.refactorizations;
   factor_stats_.fill_ratio_sum += fill;
   refactorizations_counter().add(1);
-  fill_ratio_sum_gauge().add(fill);
   RRP_TRACE_ARG("fill_ratio", fill);
   RRP_HISTOGRAM_OBSERVE("rrp.lp.fill_ratio", fill,
                         {1.0, 1.5, 2.0, 3.0, 5.0, 8.0});

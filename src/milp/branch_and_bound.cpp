@@ -28,39 +28,6 @@ constexpr std::size_t kMaxCutRounds = 8;
 /// Minimum violation for a separated cut to be added.
 constexpr double kCutViolationTol = 1e-6;
 
-/// Process-wide solve telemetry, held as cached counter references
-/// rather than fed through the macros: the MipResult compatibility
-/// fields are computed as before/after deltas over these counters in
-/// Solver::run(), and one struct of references keeps the registry
-/// lookups (and its mutex) off the per-solve path.  A sharded relaxed
-/// add per event keeps the workers race free without per-worker structs
-/// reduced at join.  The rrp.lp.* entries are written by the simplex
-/// layer (src/lp/simplex.cpp); they are looked up here only to snapshot
-/// factorisation deltas.
-struct SolveCounters {
-  obs::Counter& nodes = obs::global_registry().counter("rrp.bnb.nodes");
-  obs::Counter& lp_iterations =
-      obs::global_registry().counter("rrp.bnb.lp_iterations");
-  obs::Counter& recoveries =
-      obs::global_registry().counter("rrp.bnb.lp_recoveries");
-  obs::Counter& warm_nodes =
-      obs::global_registry().counter("rrp.bnb.warm_nodes");
-  obs::Counter& cold_nodes =
-      obs::global_registry().counter("rrp.bnb.cold_nodes");
-  obs::Counter& cuts = obs::global_registry().counter("rrp.bnb.cuts_added");
-  obs::Counter& refactorizations =
-      obs::global_registry().counter("rrp.lp.refactorizations");
-  obs::Counter& eta_updates =
-      obs::global_registry().counter("rrp.lp.eta_updates");
-  obs::Gauge& fill_ratio_sum =
-      obs::global_registry().gauge("rrp.lp.fill_ratio_total");
-};
-
-SolveCounters& solve_counters() {
-  static SolveCounters counters;
-  return counters;
-}
-
 struct Node {
   // Bound overrides for the integer variables only, indexed by the
   // position of the variable in the integer-variable list.
@@ -81,12 +48,16 @@ struct NodeBoundGreater {
 
 /// Everything a tree-search worker owns privately: a persistent simplex
 /// solver whose factorised basis and work buffers live across the nodes
-/// this worker processes.  Telemetry goes straight to the sharded obs
-/// registry (see SolveCounters) instead of per-worker fields.
+/// this worker processes, and the worker's tallies, summed into the
+/// MipResult by Solver::run() after the join.
 struct WorkerState {
   explicit WorkerState(const lp::LinearProgram& lp) : solver(lp) {}
 
   lp::SimplexSolver solver;
+  std::size_t lp_iterations = 0;
+  std::size_t recoveries = 0;
+  std::size_t warm_nodes = 0;
+  std::size_t cold_nodes = 0;
 };
 
 /// Restores the bounds of the given variables on destruction, so the
@@ -283,10 +254,10 @@ class Solver {
 #endif
 
   // Root cut telemetry, written before the workers start (internal
-  // minimisation space) and read in the single-threaded epilogue.  Cut
-  // and factorisation counts live in the obs registry (SolveCounters).
+  // minimisation space) and read in the single-threaded epilogue.
   double root_lp_obj_ = kInf;   ///< root relaxation value before cuts
   double root_cut_obj_ = kInf;  ///< root relaxation value after cuts
+  std::size_t cuts_added_ = 0;
 };
 
 std::shared_ptr<const lp::Basis> Solver::run_root_cuts(
@@ -324,7 +295,7 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(
     }
     RRP_TRACE_ARG("added", added);
     if (added == 0) break;
-    solve_counters().cuts.add(added);
+    cuts_added_ += added;
     RRP_OBS_EVENT("bnb", "cut_round",
                   {{"round", static_cast<std::uint64_t>(round)},
                    {"added", static_cast<std::uint64_t>(added)}});
@@ -359,11 +330,11 @@ lp::Solution Solver::solve_node_lp(WorkerState& ws, const Node& node) {
   for (std::size_t k = 0; k < int_vars_.size(); ++k)
     ws.solver.set_variable_bounds(int_vars_[k], node.lo[k], node.hi[k]);
   lp::Solution sol = solve_with_recovery(ws, node.start.get());
-  solve_counters().lp_iterations.add(sol.iterations);
+  ws.lp_iterations += sol.iterations;
   if (ws.solver.last_solve_was_warm())
-    solve_counters().warm_nodes.add(1);
+    ++ws.warm_nodes;
   else
-    solve_counters().cold_nodes.add(1);
+    ++ws.cold_nodes;
   return sol;
 }
 
@@ -383,7 +354,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.pricing = lp::Pricing::Bland;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    solve_counters().recoveries.add(1);
+    ++ws.recoveries;
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 1}, {"ladder", "bland"}});
     return sol;
   } catch (const NumericalError&) {
@@ -394,7 +365,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.refactor_every = 1;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    solve_counters().recoveries.add(1);
+    ++ws.recoveries;
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 2}, {"ladder", "refactor"}});
     return sol;
   } catch (const NumericalError&) {
@@ -414,7 +385,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
         j, c + 9.3e-10 * (1.0 + std::fabs(c)) * (jitter - 0.5));
   }
   lp::Solution sol = ws.solver.solve(retry);  // rethrows on failure
-  solve_counters().recoveries.add(1);
+  ++ws.recoveries;
   RRP_OBS_EVENT("lp", "recovery", {{"rung", 3}, {"ladder", "perturb"}});
   return sol;
 }
@@ -501,7 +472,7 @@ void Solver::try_rounding(WorkerState& ws, const Node& node,
     ws.solver.set_variable_bounds(int_vars_[k], v, v);
   }
   lp::Solution sol = solve_with_recovery(ws, start);
-  solve_counters().lp_iterations.add(sol.iterations);
+  ws.lp_iterations += sol.iterations;
   if (sol.status == lp::SolveStatus::Optimal) offer_lp_point(ws, sol.x);
 }
 
@@ -640,7 +611,6 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
     Node node = pop_locked();
     const std::size_t node_number =
         nodes_count_.fetch_add(1, std::memory_order_relaxed) + 1;
-    solve_counters().nodes.add(1);
     RRP_GAUGE_SET("rrp.bnb.frontier_depth", heap_.size());
     ++active_;
     in_flight_[w] = node.bound;
@@ -670,20 +640,6 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
 MipResult Solver::run() {
   RRP_TRACE_SPAN("bnb.solve");
   MipResult result;
-
-  // Snapshot the process-wide telemetry counters so the epilogue can
-  // fill the MipResult compatibility fields from the deltas this solve
-  // produced.  Exact: no two solves run concurrently in one process
-  // (solves on worker threads nest under this call via TaskGroup).
-  const SolveCounters& tel = solve_counters();
-  const std::uint64_t lp_iterations0 = tel.lp_iterations.value();
-  const std::uint64_t recoveries0 = tel.recoveries.value();
-  const std::uint64_t warm0 = tel.warm_nodes.value();
-  const std::uint64_t cold0 = tel.cold_nodes.value();
-  const std::uint64_t cuts0 = tel.cuts.value();
-  const std::uint64_t refactorizations0 = tel.refactorizations.value();
-  const std::uint64_t eta0 = tel.eta_updates.value();
-  const double fill_sum0 = tel.fill_ratio_sum.value();
 
   std::size_t jobs = opt_.jobs;
   if (jobs == 0)
@@ -729,33 +685,31 @@ MipResult Solver::run() {
     group.wait();
   }
 
-  // All workers have joined (TaskGroup::wait above), so this lock is
-  // uncontended; it closes the epilogue reads under the same capability
-  // contract the workers used, instead of relying on the join for
-  // visibility.
+  // All workers have joined (TaskGroup::wait above): sum their tallies.
+  result.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
+  result.cuts_added = cuts_added_;
+  for (const WorkerState& ws : states) {
+    result.lp_iterations += ws.lp_iterations;
+    result.lp_failures_recovered += ws.recoveries;
+    result.warm_started_nodes += ws.warm_nodes;
+    result.cold_solved_nodes += ws.cold_nodes;
+    result.factor_stats += ws.solver.factor_stats();
+  }
+  // The process-wide scrape keeps every solve's work, failed ones too.
+  // (rrp.lp.* is fed by the simplex layer itself.)
+  RRP_COUNTER_ADD("rrp.bnb.nodes", result.nodes_explored);
+  RRP_COUNTER_ADD("rrp.bnb.lp_iterations", result.lp_iterations);
+  RRP_COUNTER_ADD("rrp.bnb.lp_recoveries", result.lp_failures_recovered);
+  RRP_COUNTER_ADD("rrp.bnb.warm_nodes", result.warm_started_nodes);
+  RRP_COUNTER_ADD("rrp.bnb.cold_nodes", result.cold_solved_nodes);
+  RRP_COUNTER_ADD("rrp.bnb.cuts_added", result.cuts_added);
+
+  // The join makes this lock uncontended; it closes the epilogue reads
+  // under the same capability contract the workers used, instead of
+  // relying on the join for visibility.
   MutexLock lock(mtx_);
   if (error_) std::rethrow_exception(error_);
 
-  // Compatibility view over the obs registry: the public MipResult
-  // telemetry fields are counter deltas across this solve, mirroring
-  // the per-worker field reduction they replace exactly (every counting
-  // site below and in src/lp/simplex.cpp advances a cached counter, so
-  // these snapshots never take the registry mutex).
-  result.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
-  result.lp_iterations =
-      static_cast<std::size_t>(tel.lp_iterations.value() - lp_iterations0);
-  result.lp_failures_recovered =
-      static_cast<std::size_t>(tel.recoveries.value() - recoveries0);
-  result.warm_started_nodes =
-      static_cast<std::size_t>(tel.warm_nodes.value() - warm0);
-  result.cold_solved_nodes =
-      static_cast<std::size_t>(tel.cold_nodes.value() - cold0);
-  result.cuts_added = static_cast<std::size_t>(tel.cuts.value() - cuts0);
-  result.factor_stats.refactorizations = static_cast<std::size_t>(
-      tel.refactorizations.value() - refactorizations0);
-  result.factor_stats.eta_updates =
-      static_cast<std::size_t>(tel.eta_updates.value() - eta0);
-  result.factor_stats.fill_ratio_sum = tel.fill_ratio_sum.value() - fill_sum0;
   if (result.cuts_added > 0 && have_incumbent_ && std::isfinite(root_lp_obj_)) {
     const double denom = incumbent_obj_ - root_lp_obj_;
     if (denom > 1e-12)

@@ -2,14 +2,14 @@
 // over obs/registry.hpp, obs/trace.hpp and obs/events.hpp — registry
 // updates, scoped trace spans, structured events.
 //
-// Cold epilogue code — the MipResult / SimulationResult compatibility
-// views, --metrics-out — talks to the registry directly.
+// Scrapes (--metrics-out, the bench JSON) talk to the registry
+// directly.
 //
 // Macro site cost:
 //   RRP_COUNTER_ADD    one relaxed fetch_add on a thread-sharded cell
 //                      (the registry lookup runs once per site, cached
 //                      in a function-local static reference);
-//   RRP_GAUGE_SET/ADD  one relaxed store / CAS add;
+//   RRP_GAUGE_SET      one relaxed store;
 //   RRP_HISTOGRAM_OBSERVE
 //                      bucket scan (few bounds) + two relaxed adds;
 //   RRP_TRACE_SPAN     one relaxed load when tracing is disabled; two
@@ -36,14 +36,6 @@
     static ::rrp::obs::Gauge& rrp_obs_gauge_site =         \
         ::rrp::obs::global_registry().gauge(name);         \
     rrp_obs_gauge_site.set(static_cast<double>(v));        \
-  } while (false)
-
-/// Adds `v` to the named gauge (accumulated doubles, e.g. fill ratios).
-#define RRP_GAUGE_ADD(name, v)                             \
-  do {                                                     \
-    static ::rrp::obs::Gauge& rrp_obs_gauge_site =         \
-        ::rrp::obs::global_registry().gauge(name);         \
-    rrp_obs_gauge_site.add(static_cast<double>(v));        \
   } while (false)
 
 /// Observes `v` in the named histogram; `bounds_init` is a braced list

@@ -56,20 +56,57 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   return out;
 }
 
+namespace {
+
+/// The series a histogram `X` adds to the scrape besides its own name.
+constexpr std::string_view kHistogramSuffixes[] = {"_count", "_sum",
+                                                   "_bucket"};
+
+[[noreturn]] void reject_name(std::string_view name, const char* why) {
+  throw InvalidArgument("obs::Registry: metric name '" + std::string(name) +
+                        "' " + why);
+}
+
+}  // namespace
+
+void Registry::check_new_scalar_name(std::string_view name) const {
+  if (counters_.contains(name) || gauges_.contains(name) ||
+      histograms_.contains(name))
+    reject_name(name, "is already registered as another kind");
+  for (std::string_view suffix : kHistogramSuffixes)
+    if (name.ends_with(suffix) &&
+        histograms_.contains(name.substr(0, name.size() - suffix.size())))
+      reject_name(name, "collides with a histogram series");
+}
+
+void Registry::check_new_histogram_name(std::string_view name) const {
+  if (counters_.contains(name) || gauges_.contains(name))
+    reject_name(name, "is already registered as another kind");
+  for (std::string_view suffix : kHistogramSuffixes) {
+    const std::string series = std::string(name) + std::string(suffix);
+    if (counters_.contains(series) || gauges_.contains(series))
+      reject_name(name, "has a series named like an existing metric");
+  }
+}
+
 Counter& Registry::counter(std::string_view name) {
   MutexLock lock(mu_);
   auto it = counters_.find(name);
-  if (it == counters_.end())
+  if (it == counters_.end()) {
+    check_new_scalar_name(name);
     it = counters_.emplace(std::string(name), std::make_unique<Counter>())
              .first;
+  }
   return *it->second;
 }
 
 Gauge& Registry::gauge(std::string_view name) {
   MutexLock lock(mu_);
   auto it = gauges_.find(name);
-  if (it == gauges_.end())
+  if (it == gauges_.end()) {
+    check_new_scalar_name(name);
     it = gauges_.emplace(std::string(name), std::make_unique<Gauge>()).first;
+  }
   return *it->second;
 }
 
@@ -77,11 +114,13 @@ Histogram& Registry::histogram(std::string_view name,
                                std::vector<double> upper_bounds) {
   MutexLock lock(mu_);
   auto it = histograms_.find(name);
-  if (it == histograms_.end())
+  if (it == histograms_.end()) {
+    check_new_histogram_name(name);
     it = histograms_
              .emplace(std::string(name),
                       std::make_unique<Histogram>(std::move(upper_bounds)))
              .first;
+  }
   return *it->second;
 }
 

@@ -10,8 +10,7 @@
 //     `value()` aggregates the cells on scrape with relaxed loads —
 //     scrapes are wait-free and race-free (TSan-clean) but see a
 //     point-in-time-ish sum, which is all a monitoring read needs.
-//   * Gauges are last-writer-wins doubles (plus an additive mode used
-//     for accumulated ratios such as LU fill).
+//   * Gauges are last-writer-wins doubles (plus an additive CAS mode).
 //   * Histograms have fixed upper bounds declared at registration;
 //     observation is one relaxed fetch_add on the matching bucket.
 //
@@ -19,8 +18,9 @@
 // annotated rrp::Mutex from PR 6; instrumentation sites cache the
 // returned reference (metrics are never deleted, so references stay
 // valid for the process lifetime).  The hot-path macros that feed this
-// registry live in obs/obs.hpp; cold epilogue code (result-struct
-// compatibility views, --metrics-out) talks to it directly.
+// registry live in obs/obs.hpp; scrapes (--metrics-out, the bench JSON)
+// talk to it directly.  It is a process-wide sum: a solve's or a
+// simulation's own counts live in its result struct, which feeds it.
 #pragma once
 
 #include <array>
@@ -78,8 +78,7 @@ class Counter {
   std::array<detail::CounterCell, detail::kCounterShards> cells_;
 };
 
-/// Last-writer-wins double, with an additive mode for accumulated sums
-/// (e.g. LU fill ratios) where the double-ness matters.
+/// Last-writer-wins double, with an additive mode for accumulated sums.
 class Gauge {
  public:
   void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
@@ -140,14 +139,17 @@ struct MetricsSnapshot {
   /// bench_solvers_json metrics block.
   std::string to_json() const;
 
-  /// Convenience lookups for tests and compatibility views; 0 when the
-  /// metric does not exist.
+  /// Convenience lookups for tests; 0 when the metric does not exist.
   std::uint64_t counter(std::string_view name) const;
   double gauge(std::string_view name) const;
 };
 
 /// Name -> metric registry.  Metrics are created on first use and live
-/// for the process lifetime; the returned references are stable.
+/// for the process lifetime; the returned references are stable.  Every
+/// line of the scrape names one series: registering a name already taken
+/// by another kind, or a counter or gauge named like a histogram's
+/// `_count`/`_sum`/`_bucket` series (or the reverse), throws
+/// rrp::InvalidArgument.
 class Registry {
  public:
   Counter& counter(std::string_view name) RRP_EXCLUDES(mu_);
@@ -160,6 +162,10 @@ class Registry {
   MetricsSnapshot scrape() const RRP_EXCLUDES(mu_);
 
  private:
+  void check_new_scalar_name(std::string_view name) const RRP_REQUIRES(mu_);
+  void check_new_histogram_name(std::string_view name) const
+      RRP_REQUIRES(mu_);
+
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       RRP_GUARDED_BY(mu_);

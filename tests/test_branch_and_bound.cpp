@@ -307,7 +307,8 @@ TEST(BranchAndBound, BlandRecoveryRungRunsTheDualPath) {
 
 TEST(BranchAndBound, MetricsScrapeAfterSolveHasUniqueNames) {
   // A text scrape prints one `name value` line per series; a gauge named
-  // like a histogram's `_sum` line would print the same name twice.
+  // like a histogram's `_sum` line would print the same name twice (the
+  // registry now rejects such a name when it is registered).
   ASSERT_EQ(solve(big_knapsack(85, 12)).status, MipStatus::Optimal);
   const std::string text = rrp::obs::global_registry().scrape().to_text();
   std::istringstream lines(text);
@@ -316,7 +317,7 @@ TEST(BranchAndBound, MetricsScrapeAfterSolveHasUniqueNames) {
     const std::string name = line.substr(0, line.rfind(' '));
     EXPECT_TRUE(names.insert(name).second) << "duplicate series " << name;
   }
-  EXPECT_EQ(names.count("rrp.lp.fill_ratio_total"), 1u);
+  EXPECT_EQ(names.count("rrp.lp.fill_ratio_sum"), 1u);
   EXPECT_EQ(names.count("rrp.bnb.nodes"), 1u);
 }
 

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/deadline.hpp"
+#include "common/error.hpp"
 #include "obs/obs.hpp"
 
 namespace {
@@ -101,6 +102,53 @@ TEST(ObsSnapshot, TextAndJsonFormats) {
   // Balanced braces — cheap structural sanity without a JSON parser.
   EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
             std::count(json.begin(), json.end(), '}'));
+}
+
+// Every scrape line names one series, so the registry refuses a name
+// that another metric's lines already use.
+TEST(ObsRegistry, RejectsANameRegisteredAsAnotherKind) {
+  auto& registry = obs::global_registry();
+  registry.counter("test.obs.kind.counter");
+  registry.gauge("test.obs.kind.gauge");
+  registry.histogram("test.obs.kind.hist", {1.0});
+  EXPECT_THROW(registry.gauge("test.obs.kind.counter"), InvalidArgument);
+  EXPECT_THROW(registry.histogram("test.obs.kind.counter", {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(registry.counter("test.obs.kind.gauge"), InvalidArgument);
+  EXPECT_THROW(registry.histogram("test.obs.kind.gauge", {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(registry.counter("test.obs.kind.hist"), InvalidArgument);
+  EXPECT_THROW(registry.gauge("test.obs.kind.hist"), InvalidArgument);
+  // Same name, same kind: the existing metric.
+  EXPECT_EQ(&registry.counter("test.obs.kind.counter"),
+            &registry.counter("test.obs.kind.counter"));
+}
+
+TEST(ObsRegistry, RejectsACounterOrGaugeNamedLikeAHistogramSeries) {
+  auto& registry = obs::global_registry();
+  registry.histogram("test.obs.series.hist", {1.0});
+  for (const char* suffix : {"_count", "_sum", "_bucket"}) {
+    const std::string name = std::string("test.obs.series.hist") + suffix;
+    EXPECT_THROW(registry.counter(name), InvalidArgument) << name;
+    EXPECT_THROW(registry.gauge(name), InvalidArgument) << name;
+  }
+  // A name that merely starts like a series is fine.
+  registry.counter("test.obs.series.hist_total");
+}
+
+TEST(ObsRegistry, RejectsAHistogramWhoseSeriesNamesAreTaken) {
+  auto& registry = obs::global_registry();
+  registry.counter("test.obs.clash.a_sum");
+  registry.gauge("test.obs.clash.b_count");
+  registry.gauge("test.obs.clash.c_bucket");
+  EXPECT_THROW(registry.histogram("test.obs.clash.a", {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(registry.histogram("test.obs.clash.b", {1.0}),
+               InvalidArgument);
+  EXPECT_THROW(registry.histogram("test.obs.clash.c", {1.0}),
+               InvalidArgument);
+  const std::string text = registry.scrape().to_text();
+  EXPECT_EQ(text.find("test.obs.clash.a_count"), std::string::npos);
 }
 
 // TSan target: concurrent sharded increments with scrapes in flight

@@ -1,8 +1,10 @@
 // Property-based testing of the simplex solver on randomly generated
 // programs.  Rather than asserting exact optima, we verify solver
 // invariants: every reported optimum carries a valid optimality
-// certificate (lp_certificate.hpp), Dantzig and Bland pricing agree,
-// and no grid point of a small instance beats the reported optimum.
+// certificate (lp_certificate.hpp), also on programs rich in singletons,
+// fixed and zero-cost columns, one-sided rows and infinite bounds;
+// Dantzig and Bland pricing agree; and no grid point of a small instance
+// beats the reported optimum.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -146,6 +148,98 @@ TEST_P(SimplexRandomProperty, WarmStartsFromEarlierBasesAreCertified) {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimplexRandomProperty,
                          ::testing::Range(0, 40));
+
+// Random programs rich in singleton rows and fixed columns.  Boxes and
+// row ranges are finite, so a program is never unbounded.
+LinearProgram make_singleton_rich_lp(int param) {
+  rrp::Rng rng(61000 + static_cast<std::uint64_t>(param));
+  LinearProgram lp;
+  const std::size_t n = 4 + static_cast<std::size_t>(param) % 6;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (rng.bernoulli(0.25)) {
+      const double v = rng.uniform(-2.0, 2.0);
+      lp.add_variable(v, v, rng.uniform(-2.0, 2.0));  // fixed
+    } else {
+      const double lo = rng.uniform(-2.0, 0.0);
+      lp.add_variable(lo, lo + rng.uniform(0.5, 3.0),
+                      rng.uniform(-2.0, 2.0));
+    }
+  }
+  const std::size_t rows = 2 + static_cast<std::size_t>(param) % 4;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<Entry> entries;
+    for (std::size_t j = 0; j < n; ++j)
+      if (rng.bernoulli(r == 0 ? 0.2 : 0.5))
+        entries.push_back({j, rng.uniform(-2.0, 2.0)});
+    if (entries.empty()) entries.push_back({0, 1.0});
+    double mid = 0.0;
+    for (const auto& e : entries)
+      mid += e.coeff * 0.5 * (lp.variable(e.col).lo + lp.variable(e.col).hi);
+    lp.add_row(std::move(entries), mid - rng.uniform(0.2, 2.0),
+               mid + rng.uniform(0.2, 2.0));
+  }
+  return lp;
+}
+
+// Random programs rich in zero-cost columns, one-sided rows and
+// infinite upper bounds.
+LinearProgram make_sparse_one_sided_lp(int param) {
+  rrp::Rng rng(72000 + static_cast<std::uint64_t>(param));
+  LinearProgram lp;
+  const std::size_t n = 5 + static_cast<std::size_t>(param) % 5;
+  for (std::size_t j = 0; j < n; ++j) {
+    const double lo = rng.uniform(-2.0, 0.0);
+    const double hi =
+        rng.bernoulli(0.2) ? kInfinity : lo + rng.uniform(0.5, 4.0);
+    const double obj = rng.bernoulli(0.3) ? 0.0 : rng.uniform(-2.0, 2.0);
+    lp.add_variable(lo, hi, obj);
+  }
+  const std::size_t rows = 2 + static_cast<std::size_t>(param) % 4;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<Entry> entries;
+    for (std::size_t j = 0; j < n; ++j)
+      if (rng.bernoulli(0.35)) entries.push_back({j, rng.uniform(-2.0, 2.0)});
+    if (entries.empty()) entries.push_back({0, 1.0});
+    double mid = 0.0;
+    for (const auto& e : entries) {
+      const auto& v = lp.variable(e.col);
+      mid += e.coeff *
+             (std::isfinite(v.hi) ? 0.5 * (v.lo + v.hi) : v.lo + 1.0);
+    }
+    const double lo =
+        rng.bernoulli(0.25) ? -kInfinity : mid - rng.uniform(0.2, 2.0);
+    lp.add_row(std::move(entries), lo, mid + rng.uniform(0.2, 2.0));
+  }
+  return lp;
+}
+
+class SimplexSingletonRichProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexSingletonRichProperty, DirectSolveIsCertified) {
+  const LinearProgram lp = make_singleton_rich_lp(GetParam());
+  const Solution sol = solve(lp);
+  if (sol.status == SolveStatus::Optimal) {
+    EXPECT_TRUE(certified_optimum(lp, sol));
+  } else {
+    EXPECT_EQ(sol.status, SolveStatus::Infeasible);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SimplexSingletonRichProperty,
+                         ::testing::Range(0, 30));
+
+class SimplexSparseOneSidedProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(SimplexSparseOneSidedProperty, DirectSolveIsCertified) {
+  const LinearProgram lp = make_sparse_one_sided_lp(GetParam());
+  const Solution sol = solve(lp);
+  if (sol.status == SolveStatus::Optimal) {
+    EXPECT_TRUE(certified_optimum(lp, sol));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, SimplexSparseOneSidedProperty,
+                         ::testing::Range(0, 30));
 
 // On 2-variable programs we can brute-force the optimum over a fine
 // grid of the feasible box and confirm the simplex never does worse.

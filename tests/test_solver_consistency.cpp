@@ -1,4 +1,4 @@
-// Cross-layer consistency: the LP machinery (simplex, presolve) applied
+// Cross-layer consistency: the LP machinery applied
 // to the *actual planner models* must agree with the exact dynamic
 // programs — closing the loop between the generic solver stack and the
 // domain solvers.
@@ -10,7 +10,7 @@
 #include "core/demand.hpp"
 #include "core/srrp_dp.hpp"
 #include "core/wagner_whitin.hpp"
-#include "lp/presolve.hpp"
+#include "lp/simplex.hpp"
 #include "milp/branch_and_bound.hpp"
 
 namespace {
@@ -80,22 +80,6 @@ TEST_P(LpRelaxationProperties, FlRelaxationBoundsEpsilonInstances) {
   const double agg_bound = agg.objective + agg_model.objective_constant();
   EXPECT_LE(fl_bound, ww.cost.total() + 1e-6);
   EXPECT_GE(fl_bound, agg_bound - 1e-6);
-}
-
-TEST_P(LpRelaxationProperties, PresolveAgreesOnPlannerLps) {
-  // presolve + solve must reproduce the direct solve on the planner
-  // relaxations (they are full of structure presolve likes: equality
-  // rows, coupled bounds).
-  const auto inst = random_drrp(73000 + GetParam(), 8);
-  const auto model = core::build_drrp(inst, nullptr);
-  const auto lp = model.to_lp();
-  const auto direct = lp::solve(lp);
-  const auto via = lp::presolve_and_solve(lp);
-  ASSERT_EQ(direct.status, via.status);
-  if (direct.status == lp::SolveStatus::Optimal) {
-    EXPECT_NEAR(direct.objective, via.objective,
-                1e-6 * (1.0 + std::fabs(direct.objective)));
-  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LpRelaxationProperties,
