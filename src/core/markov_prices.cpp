@@ -114,21 +114,20 @@ ScenarioTree MarkovPriceModel::build_tree(
     std::span<const std::size_t> widths) const {
   RRP_EXPECTS(!bids.empty());
   RRP_EXPECTS(widths.size() == bids.size());
-  const std::vector<double> bids_copy(bids.begin(), bids.end());
-  const std::vector<std::size_t> widths_copy(widths.begin(), widths.end());
-
-  const auto initial = conditional_truncated(
-      state_of(current_price), bids_copy[0], lambda, widths_copy[0]);
+  const auto initial = conditional_truncated(state_of(current_price),
+                                             bids[0], lambda, widths[0]);
+  // The callback runs only inside build_conditional, so it can view the
+  // caller's bids and widths instead of copying them.
   return ScenarioTree::build_conditional(
-      initial, bids_copy.size(),
-      [this, bids_copy, widths_copy, lambda](const ScenarioVertex& parent,
-                                             std::size_t stage) {
+      initial, bids.size(),
+      [this, bids, widths, lambda](const ScenarioVertex& parent,
+                                   std::size_t stage) {
         // An out-of-bid parent carries price = lambda, which clamps to
         // the highest bucket — conditioning on "the market was above
         // our bid".
         const std::size_t state = state_of(parent.price);
-        return conditional_truncated(state, bids_copy[stage - 1], lambda,
-                                     widths_copy[stage - 1]);
+        return conditional_truncated(state, bids[stage - 1], lambda,
+                                     widths[stage - 1]);
       });
 }
 

@@ -503,8 +503,11 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
           bool repaired = false;
           if (cfg_.replan_mode == ReplanMode::Incremental &&
               mode_ == PlanMode::Tree) {
-            // Repair the cached tree in place (on a copy, so a refusal
-            // costs nothing): arithmetically identical to a rebuild.
+            // Repair a copy, arithmetically identical to a rebuild.  The
+            // cache itself stays as it is: if the solve below fails,
+            // rung 1 of the degrade ladder (ReusedPlanTail) executes
+            // cached_tree_ with cached_policy_, which a repaired cache
+            // would pair with a reweighted tree.
             inst.tree = cached_tree_;
             repaired = inst.tree.repair(supports);
           }

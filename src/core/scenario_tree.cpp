@@ -10,52 +10,48 @@
 
 namespace rrp::core {
 
+void ScenarioTree::check_support(std::span<const PricePoint> support) {
+  RRP_EXPECTS(!support.empty());
+  double total = 0.0;
+  for (const PricePoint& p : support) {
+    RRP_EXPECTS(p.price > 0.0);
+    RRP_EXPECTS(p.prob > 0.0);
+    total += p.prob;
+  }
+  RRP_EXPECTS(std::fabs(total - 1.0) < 1e-6);
+}
+
+template <class SupportOf>
+void ScenarioTree::grow_stage(std::size_t stage, SupportOf&& support_of) {
+  const std::size_t end = stage_begin_[stage];
+  first_child_.pop_back();  // the old sentinel becomes a new vertex's slot
+  for (std::size_t parent = stage_begin_[stage - 1]; parent < end; ++parent) {
+    first_child_[parent] = vertices_.size();
+    const auto& support = support_of(parent);
+    for (const PricePoint& p : support)
+      vertices_.push_back(ScenarioVertex{parent, stage, p.price, p.out_of_bid,
+                                         p.prob,
+                                         vertices_[parent].path_prob * p.prob});
+  }
+  // The new stage's vertices are leaves: empty ranges at the end.
+  first_child_.resize(vertices_.size() + 1, vertices_.size());
+  stage_begin_.push_back(vertices_.size());
+}
+
 ScenarioTree ScenarioTree::build(
     std::span<const std::vector<PricePoint>> stage_supports) {
   RRP_TRACE_SPAN("tree.build");
   RRP_EXPECTS(!stage_supports.empty());
-  for (const auto& support : stage_supports) {
-    RRP_EXPECTS(!support.empty());
-    double total = 0.0;
-    for (const PricePoint& p : support) {
-      RRP_EXPECTS(p.price > 0.0);
-      RRP_EXPECTS(p.prob > 0.0);
-      total += p.prob;
-    }
-    RRP_EXPECTS(std::fabs(total - 1.0) < 1e-6);
-  }
+  for (const auto& support : stage_supports) check_support(support);
 
   ScenarioTree tree;
-  tree.num_stages_ = stage_supports.size();
   tree.vertices_.push_back(ScenarioVertex{});  // root
-  tree.by_stage_.assign(tree.num_stages_ + 1, {});
-  tree.by_stage_[0].push_back(0);
-
-  std::vector<std::size_t> frontier = {0};
-  for (std::size_t stage = 1; stage <= tree.num_stages_; ++stage) {
-    const auto& support = stage_supports[stage - 1];
-    std::vector<std::size_t> next;
-    next.reserve(frontier.size() * support.size());
-    for (std::size_t parent : frontier) {
-      for (const PricePoint& p : support) {
-        ScenarioVertex v;
-        v.parent = parent;
-        v.stage = stage;
-        v.price = p.price;
-        v.out_of_bid = p.out_of_bid;
-        v.branch_prob = p.prob;
-        v.path_prob = tree.vertices_[parent].path_prob * p.prob;
-        tree.vertices_.push_back(v);
-        next.push_back(tree.vertices_.size() - 1);
-        tree.by_stage_[stage].push_back(tree.vertices_.size() - 1);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  tree.children_.assign(tree.vertices_.size(), {});
-  for (std::size_t v = 1; v < tree.vertices_.size(); ++v)
-    tree.children_[tree.vertices_[v].parent].push_back(v);
+  tree.first_child_ = {1, 1};
+  tree.stage_begin_ = {0, 1};
+  for (std::size_t stage = 1; stage <= stage_supports.size(); ++stage)
+    tree.grow_stage(stage, [&](std::size_t) -> const std::vector<PricePoint>& {
+      return stage_supports[stage - 1];
+    });
 #if RRP_INVARIANTS_ENABLED
   tree.validate();
 #endif
@@ -66,51 +62,22 @@ ScenarioTree ScenarioTree::build_conditional(
     const std::vector<PricePoint>& initial, std::size_t stages,
     const ConditionalSupport& conditional) {
   RRP_EXPECTS(stages >= 1);
-  auto check = [](const std::vector<PricePoint>& support) {
-    RRP_EXPECTS(!support.empty());
-    double total = 0.0;
-    for (const PricePoint& p : support) {
-      RRP_EXPECTS(p.price > 0.0);
-      RRP_EXPECTS(p.prob > 0.0);
-      total += p.prob;
-    }
-    RRP_EXPECTS(std::fabs(total - 1.0) < 1e-6);
-  };
-  check(initial);
+  check_support(initial);
 
   ScenarioTree tree;
-  tree.num_stages_ = stages;
   tree.vertices_.push_back(ScenarioVertex{});  // root
-  tree.by_stage_.assign(stages + 1, {});
-  tree.by_stage_[0].push_back(0);
-
-  std::vector<std::size_t> frontier = {0};
-  for (std::size_t stage = 1; stage <= stages; ++stage) {
-    std::vector<std::size_t> next;
-    for (std::size_t parent : frontier) {
-      const std::vector<PricePoint> support =
-          stage == 1 ? initial
-                     : conditional(tree.vertices_[parent], stage);
-      if (stage > 1) check(support);
-      for (const PricePoint& p : support) {
-        ScenarioVertex v;
-        v.parent = parent;
-        v.stage = stage;
-        v.price = p.price;
-        v.out_of_bid = p.out_of_bid;
-        v.branch_prob = p.prob;
-        v.path_prob = tree.vertices_[parent].path_prob * p.prob;
-        tree.vertices_.push_back(v);
-        next.push_back(tree.vertices_.size() - 1);
-        tree.by_stage_[stage].push_back(tree.vertices_.size() - 1);
-      }
-    }
-    frontier = std::move(next);
-  }
-
-  tree.children_.assign(tree.vertices_.size(), {});
-  for (std::size_t v = 1; v < tree.vertices_.size(); ++v)
-    tree.children_[tree.vertices_[v].parent].push_back(v);
+  tree.first_child_ = {1, 1};
+  tree.stage_begin_ = {0, 1};
+  tree.grow_stage(1, [&](std::size_t) -> const std::vector<PricePoint>& {
+    return initial;
+  });
+  for (std::size_t stage = 2; stage <= stages; ++stage)
+    tree.grow_stage(stage, [&](std::size_t parent) {
+      std::vector<PricePoint> support =
+          conditional(tree.vertices_[parent], stage);
+      check_support(support);
+      return support;
+    });
 #if RRP_INVARIANTS_ENABLED
   tree.validate();
 #endif
@@ -120,43 +87,33 @@ ScenarioTree ScenarioTree::build_conditional(
 bool ScenarioTree::repair(
     std::span<const std::vector<PricePoint>> stage_supports) {
   RRP_EXPECTS(!stage_supports.empty());
-  for (const auto& support : stage_supports) {
-    RRP_EXPECTS(!support.empty());
-    double total = 0.0;
-    for (const PricePoint& p : support) {
-      RRP_EXPECTS(p.price > 0.0);
-      RRP_EXPECTS(p.prob > 0.0);
-      total += p.prob;
-    }
-    RRP_EXPECTS(std::fabs(total - 1.0) < 1e-6);
-  }
+  for (const auto& support : stage_supports) check_support(support);
 
+  const std::size_t old_stages = num_stages();
   const std::size_t new_stages = stage_supports.size();
-  const std::size_t keep = std::min(num_stages_, new_stages);
+  const std::size_t keep = std::min(old_stages, new_stages);
 
-  // Shape checks first, so a refusal leaves the tree untouched.  Every
+  // Shape check first, so a refusal leaves the tree untouched: every
   // overlapping stage must branch with the new support's width
-  // (conditional trees with per-parent supports fail here)...
+  // (conditional trees with per-parent supports fail here).
   for (std::size_t stage = 1; stage <= keep; ++stage) {
     const std::size_t width = stage_supports[stage - 1].size();
-    for (std::size_t parent : by_stage_[stage - 1])
-      if (children_[parent].size() != width) return false;
-  }
-  // ...and retiring stages slices the vertex array, which needs the
-  // stage-contiguous id layout build() produces.
-  std::size_t retained = 0;
-  for (std::size_t stage = 0; stage <= keep; ++stage) {
-    for (std::size_t v : by_stage_[stage])
-      if (v != retained++) return false;
+    for (std::size_t parent : stage_vertices(stage - 1))
+      if (children(parent).size() != width) return false;
   }
 
   RRP_TRACE_SPAN("tree.repair");
   RRP_TRACE_ARG("stages", new_stages);
   RRP_COUNTER_ADD("rrp.tree.repairs", 1);
 
-  if (new_stages < num_stages_) {
+  if (new_stages < old_stages) {
+    // Retiring stages slices every array: the stage-contiguous layout
+    // puts the surviving vertices first.
+    const std::size_t retained = stage_begin_[new_stages + 1];
     vertices_.resize(retained);
-    by_stage_.resize(new_stages + 1);
+    stage_begin_.resize(new_stages + 2);
+    first_child_.resize(stage_begin_[new_stages]);
+    first_child_.resize(retained + 1, retained);
   }
 
   // Rewrite the surviving stages in build order: a parent's path
@@ -164,10 +121,10 @@ bool ScenarioTree::repair(
   // below is the exact multiplication build() would perform.
   for (std::size_t stage = 1; stage <= keep; ++stage) {
     const auto& support = stage_supports[stage - 1];
-    for (std::size_t parent : by_stage_[stage - 1]) {
+    for (std::size_t parent : stage_vertices(stage - 1)) {
       for (std::size_t j = 0; j < support.size(); ++j) {
         const PricePoint& p = support[j];
-        ScenarioVertex& v = vertices_[children_[parent][j]];
+        ScenarioVertex& v = vertices_[first_child_[parent] + j];
         v.price = p.price;
         v.out_of_bid = p.out_of_bid;
         v.branch_prob = p.prob;
@@ -176,37 +133,10 @@ bool ScenarioTree::repair(
     }
   }
 
-  // Extend with the frontier loop build() uses for brand-new stages.
-  if (new_stages > num_stages_) {
-    by_stage_.resize(new_stages + 1);
-    std::vector<std::size_t> frontier = by_stage_[num_stages_];
-    for (std::size_t stage = num_stages_ + 1; stage <= new_stages;
-         ++stage) {
-      const auto& support = stage_supports[stage - 1];
-      std::vector<std::size_t> next;
-      next.reserve(frontier.size() * support.size());
-      for (std::size_t parent : frontier) {
-        for (const PricePoint& p : support) {
-          ScenarioVertex v;
-          v.parent = parent;
-          v.stage = stage;
-          v.price = p.price;
-          v.out_of_bid = p.out_of_bid;
-          v.branch_prob = p.prob;
-          v.path_prob = vertices_[parent].path_prob * p.prob;
-          vertices_.push_back(v);
-          next.push_back(vertices_.size() - 1);
-          by_stage_[stage].push_back(vertices_.size() - 1);
-        }
-      }
-      frontier = std::move(next);
-    }
-  }
-
-  num_stages_ = new_stages;
-  children_.assign(vertices_.size(), {});
-  for (std::size_t v = 1; v < vertices_.size(); ++v)
-    children_[vertices_[v].parent].push_back(v);
+  for (std::size_t stage = old_stages + 1; stage <= new_stages; ++stage)
+    grow_stage(stage, [&](std::size_t) -> const std::vector<PricePoint>& {
+      return stage_supports[stage - 1];
+    });
 
 #if RRP_INVARIANTS_ENABLED
   validate();
@@ -217,10 +147,11 @@ bool ScenarioTree::repair(
     ::rrp::detail::invariant_fail("invariant", cond, __FILE__, __LINE__,
                                   detail);
   };
-  if (vertices_.size() != rebuilt.vertices_.size())
-    fail("repaired tree has rebuild's vertex count",
+  if (first_child_ != rebuilt.first_child_ ||
+      stage_begin_ != rebuilt.stage_begin_)
+    fail("repaired tree has rebuild's shape",
          std::to_string(vertices_.size()) + " vs " +
-             std::to_string(rebuilt.vertices_.size()));
+             std::to_string(rebuilt.vertices_.size()) + " vertices");
   for (std::size_t v = 0; v < vertices_.size(); ++v) {
     const ScenarioVertex& a = vertices_[v];
     const ScenarioVertex& b = rebuilt.vertices_[v];
@@ -236,19 +167,14 @@ bool ScenarioTree::repair(
   return true;
 }
 
-std::span<const std::size_t> ScenarioTree::children(std::size_t v) const {
+ScenarioTree::IdRange ScenarioTree::children(std::size_t v) const {
   RRP_EXPECTS(v < vertices_.size());
-  return children_[v];
+  return IdRange(first_child_[v], first_child_[v + 1]);
 }
 
-const std::vector<std::size_t>& ScenarioTree::stage_vertices(
-    std::size_t stage) const {
-  RRP_EXPECTS(stage < by_stage_.size());
-  return by_stage_[stage];
-}
-
-const std::vector<std::size_t>& ScenarioTree::leaves() const {
-  return by_stage_[num_stages_];
+ScenarioTree::IdRange ScenarioTree::stage_vertices(std::size_t stage) const {
+  RRP_EXPECTS(stage + 1 < stage_begin_.size());
+  return IdRange(stage_begin_[stage], stage_begin_[stage + 1]);
 }
 
 std::vector<std::size_t> ScenarioTree::path_from_root(std::size_t v) const {
@@ -273,12 +199,25 @@ void ScenarioTree::validate() const {
     ::rrp::detail::invariant_fail("invariant", cond, __FILE__, __LINE__,
                                   detail);
   };
-  if (vertices_.empty() || children_.size() != vertices_.size())
-    fail("tree arrays are consistent", "vertex/children size mismatch");
+  // Sorted offsets make the child ranges tile the ids 1..V-1, so each
+  // non-root vertex is listed under exactly one vertex: its parent, once
+  // every listed child points back (checked below).
+  const std::size_t V = vertices_.size();
+  if (V == 0 || first_child_.size() != V + 1 || first_child_.front() != 1 ||
+      first_child_.back() != V || !std::ranges::is_sorted(first_child_) ||
+      stage_begin_.size() < 3 || stage_begin_[0] != 0 ||
+      stage_begin_[1] != 1 || stage_begin_.back() != V ||
+      !std::ranges::is_sorted(stage_begin_))
+    fail("offset arrays are consistent", "vertex count " + std::to_string(V));
+  for (std::size_t stage = 0; stage <= num_stages(); ++stage)
+    for (std::size_t v : stage_vertices(stage))
+      if (vertices_[v].stage != stage)
+        fail("stage ranges hold their stage's vertices",
+             "vertex " + std::to_string(v));
 
-  for (std::size_t v = 1; v < vertices_.size(); ++v) {
+  for (std::size_t v = 1; v < V; ++v) {
     const ScenarioVertex& vert = vertices_[v];
-    if (vert.parent >= vertices_.size() || vert.parent == v)
+    if (vert.parent >= v)
       fail("vertex parent is a valid earlier vertex",
            "vertex " + std::to_string(v));
     const ScenarioVertex& par = vertices_[vert.parent];
@@ -293,15 +232,12 @@ void ScenarioTree::validate() const {
         1e-12 + 1e-9 * par.path_prob)
       fail("path_prob == parent.path_prob * branch_prob",
            "vertex " + std::to_string(v));
-    const auto& sibs = children_[vert.parent];
-    if (std::find(sibs.begin(), sibs.end(), v) == sibs.end())
-      fail("child is listed under its parent", "vertex " + std::to_string(v));
   }
   // Branch probabilities of every expanded vertex sum to 1.
-  for (std::size_t v = 0; v < vertices_.size(); ++v) {
-    if (children_[v].empty()) continue;
+  for (std::size_t v = 0; v < V; ++v) {
+    if (children(v).empty()) continue;
     double total = 0.0;
-    for (std::size_t c : children_[v]) {
+    for (std::size_t c : children(v)) {
       if (vertices_[c].parent != v)
         fail("children point back to their parent",
              "vertex " + std::to_string(c));
@@ -313,7 +249,7 @@ void ScenarioTree::validate() const {
                std::to_string(total));
   }
   // Every fully-expanded stage carries unit probability mass.
-  for (std::size_t stage = 0; stage <= num_stages_; ++stage) {
+  for (std::size_t stage = 0; stage <= num_stages(); ++stage) {
     const double mass = stage_probability_mass(stage);
     if (std::fabs(mass - 1.0) > 1e-6)
       fail("stage probability mass is 1", "stage " + std::to_string(stage) +

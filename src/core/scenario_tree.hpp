@@ -7,10 +7,22 @@
 // point, or the on-demand price for an out-of-bid state) together with
 // its conditional branch probability; path probabilities multiply down
 // the tree and sum to 1 within each stage.
+//
+// Layout.  Vertex ids are stage-contiguous, parent-major and
+// support-minor: the vertices of stage s are the consecutive ids that
+// follow stage s-1's, and within a stage each parent's children are
+// consecutive, parents in id order and each parent's children in
+// support order.  So children(v), stage_vertices(s) and leaves() are
+// contiguous id ranges, every parent precedes its children, and under a
+// stage-uniform support a vertex's position in its stage range modulo
+// the support width is its support index.  build(), build_conditional()
+// and repair() all produce this layout; it is the only one the class
+// can represent.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <ranges>
 #include <span>
 #include <vector>
 
@@ -29,6 +41,9 @@ struct ScenarioVertex {
 
 class ScenarioTree {
  public:
+  /// A contiguous run of vertex ids (see the layout above).
+  using IdRange = std::ranges::iota_view<std::size_t, std::size_t>;
+
   /// Builds a tree with `stage_supports.size()` decision stages; every
   /// vertex at stage t-1 branches into stage_supports[t-1]'s points.
   /// Each stage's probabilities must sum to 1.
@@ -47,33 +62,34 @@ class ScenarioTree {
       const std::vector<PricePoint>& initial, std::size_t stages,
       const ConditionalSupport& conditional);
 
-  /// Incremental repair (ISSUE 10): reshapes this tree in place so it
-  /// represents `stage_supports` — rewrites prices and probabilities in
-  /// stage order, retires trailing stages, extends new ones — instead
-  /// of reallocating the whole tree.  Requires the per-stage branching
-  /// widths to match on overlapping stages and the stage-contiguous
-  /// vertex layout build() produces; returns false with the tree
-  /// untouched when the shape does not fit (e.g. conditional trees with
-  /// per-parent widths, or changed stage widths), in which case the
-  /// caller rebuilds.  A successful repair is arithmetically identical
-  /// to build(stage_supports) — the same products in the same order —
-  /// and RRP_CHECK_INVARIANTS builds verify that field by field against
-  /// a fresh build.
+  /// Incremental repair: reshapes this tree in place so it represents
+  /// `stage_supports` — rewrites prices and probabilities in stage
+  /// order, retires trailing stages, extends new ones — instead of
+  /// reallocating the whole tree.  Requires every overlapping stage to
+  /// branch with its new support's width; returns false with the tree
+  /// untouched when it does not (e.g. conditional trees with per-parent
+  /// widths, or changed stage widths), in which case the caller
+  /// rebuilds.  A successful repair is arithmetically identical to
+  /// build(stage_supports) — the same products in the same order — and
+  /// RRP_CHECK_INVARIANTS builds verify that field by field against a
+  /// fresh build.
   bool repair(std::span<const std::vector<PricePoint>> stage_supports);
 
   std::size_t num_vertices() const { return vertices_.size(); }
-  std::size_t num_stages() const { return num_stages_; }  ///< T
+  std::size_t num_stages() const {  ///< T (0 for an unbuilt tree)
+    return stage_begin_.empty() ? 0 : stage_begin_.size() - 2;
+  }
   const ScenarioVertex& vertex(std::size_t v) const { return vertices_[v]; }
   std::size_t root() const { return 0; }
 
   /// Children of a vertex, in support order.
-  std::span<const std::size_t> children(std::size_t v) const;
+  IdRange children(std::size_t v) const;
 
   /// All vertices at a given stage (stage 0 = {root}).
-  const std::vector<std::size_t>& stage_vertices(std::size_t stage) const;
+  IdRange stage_vertices(std::size_t stage) const;
 
-  /// Leaves (= scenarios, paper's set S).
-  const std::vector<std::size_t>& leaves() const;
+  /// Leaves (= scenarios, paper's set S): the last stage.
+  IdRange leaves() const { return stage_vertices(num_stages()); }
 
   /// Root-to-v path, excluding the root (P(v) in the paper).
   std::vector<std::size_t> path_from_root(std::size_t v) const;
@@ -92,10 +108,21 @@ class ScenarioTree {
   void validate() const;
 
  private:
+  /// Throws rrp::ContractViolation unless `support` is non-empty with
+  /// positive prices and probabilities summing to 1.
+  static void check_support(std::span<const PricePoint> support);
+
+  /// Appends stage `stage` below the vertices of stage `stage` - 1 (the
+  /// current last stage): each parent, in id order, gets one child per
+  /// point of `support_of(parent)`, in support order.
+  template <class SupportOf>
+  void grow_stage(std::size_t stage, SupportOf&& support_of);
+
   std::vector<ScenarioVertex> vertices_;
-  std::vector<std::vector<std::size_t>> children_;
-  std::vector<std::vector<std::size_t>> by_stage_;
-  std::size_t num_stages_ = 0;
+  /// children(v) = [first_child_[v], first_child_[v+1]); size V+1.
+  std::vector<std::size_t> first_child_;
+  /// stage_vertices(s) = [stage_begin_[s], stage_begin_[s+1]); size T+2.
+  std::vector<std::size_t> stage_begin_;
 };
 
 }  // namespace rrp::core

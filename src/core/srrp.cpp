@@ -62,11 +62,12 @@ std::pair<ScenarioTree, std::vector<double>> build_joint_tree(
     price_supports.push_back(std::move(prices));
   }
   ScenarioTree tree = ScenarioTree::build(price_supports);
-  // Vertices at each stage are created parent-major, support-minor, so
-  // the joint point for a vertex is its index modulo the support size.
+  // The ScenarioTree layout (see scenario_tree.hpp) is parent-major,
+  // support-minor within each stage, so the joint point for a vertex is
+  // its position in the stage modulo the support size.
   std::vector<double> vertex_demand(tree.num_vertices(), 0.0);
   for (std::size_t stage = 1; stage <= tree.num_stages(); ++stage) {
-    const auto& verts = tree.stage_vertices(stage);
+    const auto verts = tree.stage_vertices(stage);
     const auto& support = stage_supports[stage - 1];
     for (std::size_t i = 0; i < verts.size(); ++i)
       vertex_demand[verts[i]] = support[i % support.size()].demand;
@@ -454,7 +455,7 @@ std::vector<std::vector<PricePoint>> make_stage_supports(
 
 std::size_t match_stage1_vertex(const ScenarioTree& tree, bool won,
                                 double realized_price) {
-  const auto& stage1 = tree.stage_vertices(1);
+  const auto stage1 = tree.stage_vertices(1);
   RRP_EXPECTS(!stage1.empty());
   std::size_t best = stage1.front();
   double best_dist = std::numeric_limits<double>::infinity();

@@ -92,7 +92,7 @@ class TreeDp {
 
  private:
   static std::int64_t key_of(double x) {
-    return static_cast<std::int64_t>(std::llround(x * 1e9));
+    return detail::round_half_away(x * 1e9);
   }
 
   /// Per-vertex constants of the state evaluation: the demand, the

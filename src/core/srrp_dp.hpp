@@ -15,7 +15,8 @@
 //
 // Requires an uncapacitated instance (like Wagner-Whitin for DRRP).
 //
-// Memo layout.  A state is keyed by llround(x * 1e9) of its entering
+// Memo layout.  A state is keyed by x * 1e9 rounded half away from zero
+// (std::llround's rule, detail::round_half_away below) of its entering
 // inventory x; the first x that misses a key computes the entry, and
 // later inventories rounding to that key read it.  Storage is flat and
 // local to one solve:
@@ -39,10 +40,26 @@
 // frozen reference and compares the two bit for bit.
 #pragma once
 
+#include <cstdint>
+
 #include "common/deadline.hpp"
 #include "core/srrp.hpp"
 
 namespace rrp::core {
+
+namespace detail {
+
+/// std::llround(y) for |y| < 2^52, inline instead of a libm call: y -
+/// trunc(y) is exact there, so comparing it with +-0.5 rounds halves
+/// away from zero (y + 0.5 truncation would round 0.49999999999999994
+/// up).
+inline std::int64_t round_half_away(double y) {
+  const auto t = static_cast<std::int64_t>(y);
+  const double frac = y - static_cast<double>(t);
+  return t + (frac >= 0.5) - (frac <= -0.5);
+}
+
+}  // namespace detail
 
 /// Solves SRRP exactly by dynamic programming over the scenario tree.
 /// Throws InvalidArgument when the bottleneck constraint is active.

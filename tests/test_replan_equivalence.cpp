@@ -9,8 +9,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "core/demand.hpp"
@@ -152,6 +154,62 @@ TEST(ReplanEquivalenceChaos, FaultyPriceFeedStaysEquivalent) {
     EXPECT_EQ(incremental.price_faults.size(), rebuild.price_faults.size());
     EXPECT_GT(incremental.price_faults.size(), 0u);
   }
+}
+
+/// Stands still for its first `still_reads` reads, then jumps an hour
+/// per read: every re-plan deadline set after the jump expires at the
+/// solve's first poll, while the plans made before it stay cached.
+class StallingClock final : public rrp::common::Clock {
+ public:
+  explicit StallingClock(std::uint64_t still_reads) : still_(still_reads) {}
+  double now_seconds() const override {
+    const std::uint64_t n = reads_++;
+    return n < still_ ? 0.0 : 3600.0 * static_cast<double>(n - still_ + 1);
+  }
+  std::uint64_t reads() const { return reads_; }
+
+ private:
+  std::uint64_t still_;
+  mutable std::uint64_t reads_ = 0;
+};
+
+TEST(ReplanEquivalenceChaos, SolveFailingAfterRepairLeavesTheCacheIntact) {
+  // Once the clock jumps, each incremental re-plan repairs a copy of the
+  // cached tree and then times out inside the MILP solve.  Rung 1
+  // (ReusedPlanTail) then executes the cached tree with the cached
+  // policy, which must still be the pair the last good solve produced:
+  // the run must match Rebuild mode, which never repairs, exactly.
+  const SimulationInputs in = random_inputs(7);
+  PolicyConfig policy = sto_exp_mean_policy();
+  policy.backend = PlannerBackend::Milp;
+  policy.stage_widths = {3, 3};  // a 49-vertex tree keeps the MILP quick
+  policy.replan_time_limit = 60.0;
+  // Count the deadline reads of a run whose clock never moves...
+  StallingClock probe(std::numeric_limits<std::uint64_t>::max());
+  policy.clock = &probe;
+  const auto unlimited = run_mode(in, policy, ReplanMode::Rebuild, 1);
+  ASSERT_EQ(unlimited.fallbacks.size(), 0u);
+  // ...and make it jump in the run's last sixth, where the horizon
+  // shrinks and each failed re-plan's repair also retires a stage.
+  const std::uint64_t still = probe.reads() * 85 / 100;
+  StallingClock rebuild_clock(still);
+  StallingClock incremental_clock(still);
+  policy.clock = &rebuild_clock;
+  const auto rebuild = run_mode(in, policy, ReplanMode::Rebuild, 1);
+  policy.clock = &incremental_clock;
+  const auto incremental = run_mode(in, policy, ReplanMode::Incremental, 1);
+
+  expect_identical(rebuild, incremental, "solve fails after repair");
+  EXPECT_GT(incremental.tree_repairs, 0u);
+  EXPECT_GT(incremental.fallback_reused_tail, 0u);
+  EXPECT_EQ(incremental.fallback_reused_tail, rebuild.fallback_reused_tail);
+  EXPECT_EQ(incremental.replan_timeouts, rebuild.replan_timeouts);
+  bool reused_after_retire = false;
+  for (const FallbackEvent& ev : incremental.fallbacks)
+    if (ev.action == FallbackAction::ReusedPlanTail &&
+        ev.slot + policy.lookahead > in.horizon())
+      reused_after_retire = true;
+  EXPECT_TRUE(reused_after_retire);
 }
 
 }  // namespace

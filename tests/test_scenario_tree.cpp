@@ -111,7 +111,40 @@ TEST(ScenarioTree, ValidationRejectsBadSupports) {
   EXPECT_THROW(ScenarioTree::build(zero_price), rrp::ContractViolation);
 }
 
-// --- In-place repair (ISSUE 10) ----------------------------------------
+TEST(ScenarioTree, ConditionalTreeChildRangesTileEachStage) {
+  // Per-parent widths of 1 and 2: the child ranges of each stage's
+  // vertices, taken in id order, are exactly the next stage's range.
+  const std::vector<PricePoint> initial = {{0.05, 0.6, false},
+                                           {0.08, 0.4, false}};
+  const auto tree = ScenarioTree::build_conditional(
+      initial, 3, [](const ScenarioVertex& parent, std::size_t) {
+        if (parent.price > 0.065)
+          return std::vector<PricePoint>{{parent.price - 0.03, 1.0, false}};
+        return std::vector<PricePoint>{{parent.price, 0.5, false},
+                                       {parent.price + 0.02, 0.5, false}};
+      });
+  ASSERT_EQ(tree.num_stages(), 3u);
+  for (std::size_t stage = 0; stage < tree.num_stages(); ++stage) {
+    SCOPED_TRACE(stage);
+    std::size_t next = tree.stage_vertices(stage + 1).front();
+    for (std::size_t v : tree.stage_vertices(stage)) {
+      for (std::size_t c : tree.children(v)) {
+        EXPECT_EQ(c, next++);
+        EXPECT_EQ(tree.vertex(c).parent, v);
+      }
+    }
+    EXPECT_EQ(next, tree.stage_vertices(stage + 1).back() + 1);
+  }
+  // Widths differ across stage 2's parents, so the layout is not a
+  // uniform product.
+  EXPECT_EQ(tree.stage_vertices(2).size(), 3u);
+  EXPECT_EQ(tree.leaves().size(), 5u);
+  for (std::size_t leaf : tree.leaves())
+    EXPECT_TRUE(tree.children(leaf).empty());
+  tree.validate();
+}
+
+// --- In-place repair ------------------------------------------------
 //
 // A successful repair must leave the tree EXACTLY equal to a fresh
 // build() on the new supports — same vertices, same probabilities to
@@ -176,6 +209,15 @@ TEST(ScenarioTreeRepair, RetireDropsTrailingStages) {
   EXPECT_TRUE(tree.repair(after));
   expect_equals_fresh_build(tree, after);
   EXPECT_EQ(tree.num_stages(), 1u);
+  // ...and a horizon that grows again extends the retired tree past its
+  // original depth.
+  std::vector<std::vector<PricePoint>> regrown = {
+      support({{0.05, 0.3}, {0.08, 0.7}}), support({{0.06, 1.0}}),
+      support({{0.05, 0.2}, {0.06, 0.8}}),
+      support({{0.04, 0.5}, {0.07, 0.25}, {0.09, 0.25}})};
+  EXPECT_TRUE(tree.repair(regrown));
+  expect_equals_fresh_build(tree, regrown);
+  EXPECT_EQ(tree.num_stages(), 4u);
 }
 
 TEST(ScenarioTreeRepair, RepeatedRepairsStayIdentical) {

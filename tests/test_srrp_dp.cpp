@@ -632,6 +632,25 @@ TEST(TreeDpDeadline, MidSolveExpiryThrowsAtTheReferencePoll) {
   EXPECT_LT(reads_at_throw[1], stats.states);
 }
 
+TEST(TreeDpMemoKey, RoundHalfAwayMatchesLlround) {
+  // The memo key rounds x * 1e9 inline; it must give std::llround's
+  // integer on exact halves, on the doubles either side of them, on
+  // integers and on both zeros.  (0.49999999999999994 is the double
+  // just below 0.5, which y + 0.5 truncation would round up.)
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> ys = {0.0, -0.0, 0.49999999999999994, 1e9 * 0.1};
+  for (double k : {0.0, 1.0, 2.0, 7.0, 1e3, 123456789.0, 1e15}) {
+    for (double sign : {1.0, -1.0}) {
+      const double half = sign * (k + 0.5);
+      ys.insert(ys.end(), {sign * k, half, std::nextafter(half, kInf),
+                           std::nextafter(half, -kInf)});
+    }
+  }
+  for (double y : ys)
+    EXPECT_EQ(rrp::core::detail::round_half_away(y), std::llround(y))
+        << std::hexfloat << y;
+}
+
 TEST(TreeDpConcurrent, PoolSolvesEqualSerialSolves) {
   std::vector<SrrpInstance> instances;
   const auto cases = sweep_cases();
