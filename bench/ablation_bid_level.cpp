@@ -54,7 +54,7 @@ int main() {
                    Table::num(result.total_cost(), 3),
                    Table::pct(core::overpay_fraction(result.total_cost(),
                                                      ideal)),
-                   std::to_string(result.out_of_bid_events)});
+                   std::to_string(result.out_of_bid_events())});
   }
   table.print(std::cout);
   std::cout << "takeaway: below the market the fallback to on-demand "

@@ -28,7 +28,7 @@ struct Outcome {
 Outcome run(const core::DrrpInstance& inst, core::DrrpFormulation form) {
   const double t0 = now();
   const auto plan = core::solve_drrp(inst, {}, form);
-  return {plan.cost.total(), now() - t0, plan.nodes_explored};
+  return {plan.cost.total(), now() - t0, plan.work.nodes_explored};
 }
 
 }  // namespace

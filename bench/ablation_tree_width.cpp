@@ -82,7 +82,7 @@ int main() {
       const auto milp_result = core::solve_srrp(
           inst, opt, core::SrrpFormulation::FacilityLocation);
       const double milp_seconds = now() - t2;
-      milp_nodes = std::to_string(milp_result.nodes_explored) +
+      milp_nodes = std::to_string(milp_result.work.nodes_explored) +
                    (milp_result.status == milp::MipStatus::Optimal
                         ? ""
                         : "+ (node limit)");
@@ -109,7 +109,7 @@ int main() {
       policy.stage_widths = cfg.widths;
       const auto result = core::simulate_policy(inputs, policy);
       cost += result.total_cost() / 4.0;
-      oob += static_cast<double>(result.out_of_bid_events) / 4.0;
+      oob += static_cast<double>(result.out_of_bid_events()) / 4.0;
     }
     sim_table.add_row({cfg.label, Table::num(cost, 3),
                        Table::num(oob, 1)});

@@ -151,23 +151,18 @@ Record bench_milp(std::string name, Solve&& solve) {
   Record rec;
   rec.name = std::move(name);
   std::size_t nodes = 0, warm = 0, cold = 0;
-  // The plans do not carry MipResult::lp_iterations; each solve adds it
-  // to this counter, so its delta is the pivot count for check_perf.py's
-  // max_pivots caps.
-  const obs::Counter& lp_iterations =
-      obs::global_registry().counter("rrp.bnb.lp_iterations");
   rec.median_seconds = median_seconds([&] {
-    const std::uint64_t iterations0 = lp_iterations.value();
     const auto r = solve();
-    rec.pivots = static_cast<std::size_t>(lp_iterations.value() - iterations0);
-    nodes = r.nodes_explored;
-    warm = r.warm_started_nodes;
-    cold = r.cold_solved_nodes;
-    rec.cuts_added = r.cuts_added;
+    const milp::SolveWork& work = r.work;
+    rec.pivots = work.lp_iterations;
+    nodes = work.nodes_explored;
+    warm = work.warm_started_nodes;
+    cold = work.cold_solved_nodes;
+    rec.cuts_added = work.cuts_added;
     rec.root_gap_closed = r.root_gap_closed;
-    rec.refactorizations = r.factor_stats.refactorizations;
-    rec.mean_fill_ratio = r.factor_stats.mean_fill_ratio();
-    rec.refactor_cadence = r.factor_stats.refactor_cadence();
+    rec.refactorizations = work.factor.refactorizations;
+    rec.mean_fill_ratio = work.factor.mean_fill_ratio();
+    rec.refactor_cadence = work.factor.refactor_cadence();
   });
   rec.has_tree_stats = true;
   rec.nodes = nodes;

@@ -17,6 +17,7 @@
 
 #include "bench_util.hpp"
 #include "common/deadline.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/policies.hpp"
 #include "core/rolling_horizon.hpp"
@@ -93,10 +94,8 @@ int main() {
     for (double s : result.replan_seconds) replan_total += s;
     lat.add_row(
         {core::to_string(mode),
-         Table::num(core::latency_percentile(result.replan_seconds, 50.0) *
-                        1e3, 3),
-         Table::num(core::latency_percentile(result.replan_seconds, 95.0) *
-                        1e3, 3),
+         Table::num(stats::quantile(result.replan_seconds, 0.50) * 1e3, 3),
+         Table::num(stats::quantile(result.replan_seconds, 0.95) * 1e3, 3),
          Table::num(result.model_maintenance_seconds * 1e3, 2),
          Table::num((replan_total - result.model_maintenance_seconds) * 1e3,
                     2)});

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
         {policy.name, Table::num(result.total_cost(), 3),
          Table::num(result.cost.compute, 3),
          Table::num(result.cost.holding, 3),
-         std::to_string(result.out_of_bid_events),
+         std::to_string(result.out_of_bid_events()),
          Table::pct(core::overpay_fraction(result.total_cost(), ideal))});
   };
   for (const auto& policy : core::figure12a_policies()) report(policy);

@@ -268,11 +268,7 @@ RentalPlan solve_drrp_aggregated(const DrrpInstance& inst,
   RRP_TRACE_SPAN("core.extract_plan");
   RentalPlan plan;
   plan.status = result.status;
-  plan.nodes_explored = result.nodes_explored;
-  plan.warm_started_nodes = result.warm_started_nodes;
-  plan.cold_solved_nodes = result.cold_solved_nodes;
-  plan.factor_stats = result.factor_stats;
-  plan.cuts_added = result.cuts_added;
+  plan.work = result.work;
   plan.root_gap_closed = result.root_gap_closed;
   if (result.x.empty()) return plan;
 
@@ -304,10 +300,7 @@ RentalPlan solve_drrp_fl(const DrrpInstance& inst,
   RRP_TRACE_SPAN("core.extract_plan");
   RentalPlan plan;
   plan.status = result.status;
-  plan.nodes_explored = result.nodes_explored;
-  plan.warm_started_nodes = result.warm_started_nodes;
-  plan.cold_solved_nodes = result.cold_solved_nodes;
-  plan.factor_stats = result.factor_stats;
+  plan.work = result.work;
   if (result.x.empty()) return plan;
 
   const std::size_t T = inst.horizon();

@@ -67,18 +67,12 @@ struct RentalPlan {
   std::vector<double> beta;   ///< inventory at the end of each slot
   std::vector<char> chi;      ///< rental decision per slot
   CostBreakdown cost;
-  std::size_t nodes_explored = 0;
-  /// Node LPs re-optimised from the parent basis vs. cold-solved (see
-  /// milp::MipResult); zero for non-MILP backends (Wagner-Whitin, DP).
-  std::size_t warm_started_nodes = 0;
-  std::size_t cold_solved_nodes = 0;
-  /// Root-node (l,S) lot-sizing cuts added to the MILP and the fraction
-  /// of the root gap they closed (milp::MipResult); zero for non-MILP
-  /// backends.
-  std::size_t cuts_added = 0;
+  /// The MILP solve's work (milp::MipResult::work); all zero for
+  /// non-MILP backends (Wagner-Whitin, DP).
+  milp::SolveWork work;
+  /// Fraction of the root gap the (l,S) lot-sizing cuts closed; zero
+  /// for non-MILP backends.
   double root_gap_closed = 0.0;
-  /// Sparse-LU telemetry aggregated over every node LP solver.
-  lp::FactorizationStats factor_stats;
 
   bool feasible() const {
     return status == milp::MipStatus::Optimal ||

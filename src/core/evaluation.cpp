@@ -81,9 +81,9 @@ EvaluationResult evaluate_policies(
       const SimulationResult r = simulate_policy(in, policies[p]);
       costs[p][trial] = r.total_cost();
       overpays[p][trial] = overpay_fraction(r.total_cost(), ideal);
-      oob[p][trial] = static_cast<double>(r.out_of_bid_events);
+      oob[p][trial] = static_cast<double>(r.out_of_bid_events());
       revoked[p][trial] = static_cast<double>(r.revoked_slots());
-      lost[p][trial] = r.work_lost;
+      lost[p][trial] = r.work_lost();
       interruption[p][trial] = r.interruption_cost();
     }
   });

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/error.hpp"
@@ -99,6 +100,42 @@ const char* to_string(RevocationRecovery recovery) {
     case RevocationRecovery::OnDemandBackstop: return "on-demand-backstop";
   }
   return "unknown";
+}
+
+std::size_t SimulationResult::rentals() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      slots, [](const SlotRecord& s) { return s.rented; }));
+}
+
+std::size_t SimulationResult::out_of_bid_events() const {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      slots, [](const SlotRecord& s) { return s.rented && !s.won; }));
+}
+
+std::size_t SimulationResult::count(FallbackReason reason) const {
+  return static_cast<std::size_t>(
+      std::ranges::count(fallbacks, reason, &FallbackEvent::reason));
+}
+
+std::size_t SimulationResult::count(FallbackAction action) const {
+  return static_cast<std::size_t>(
+      std::ranges::count(fallbacks, action, &FallbackEvent::action));
+}
+
+std::size_t SimulationResult::count(market::RevocationKind kind) const {
+  return static_cast<std::size_t>(
+      std::ranges::count(revocations, kind, &RevocationEvent::kind));
+}
+
+std::size_t SimulationResult::count(RevocationRecovery recovery) const {
+  return static_cast<std::size_t>(
+      std::ranges::count(revocations, recovery, &RevocationEvent::recovery));
+}
+
+double SimulationResult::work_lost() const {
+  double lost = 0.0;
+  for (const RevocationEvent& ev : revocations) lost += ev.lost_work;
+  return lost;
 }
 
 namespace {
@@ -471,10 +508,7 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
             cfg_.backend == PlannerBackend::DynamicProgramming
                 ? solve_drrp_wagner_whitin(inst)
                 : solve_drrp(inst, solver);
-        result_.solver_nodes_explored += plan.nodes_explored;
-        result_.solver_warm_started_nodes += plan.warm_started_nodes;
-        result_.solver_cold_solved_nodes += plan.cold_solved_nodes;
-        result_.solver_cuts_added += plan.cuts_added;
+        result_.solver += plan.work;
         if (plan.feasible()) {
           commit_schedule(t, std::move(plan), estimates);
           return;
@@ -524,10 +558,7 @@ void PolicyRunner::replan(std::size_t t, std::size_t w, double store) {
             cfg_.backend == PlannerBackend::DynamicProgramming
                 ? solve_srrp_tree_dp(inst)
                 : solve_srrp(inst, solver);
-        result_.solver_nodes_explored += policy.nodes_explored;
-        result_.solver_warm_started_nodes += policy.warm_started_nodes;
-        result_.solver_cold_solved_nodes += policy.cold_solved_nodes;
-        result_.solver_cuts_added += policy.cuts_added;
+        result_.solver += policy.work;
         if (policy.feasible()) {
           commit_tree(t, std::move(policy), std::move(inst.tree), estimates);
           return;
@@ -552,15 +583,12 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
                            FallbackReason reason) {
   switch (reason) {
     case FallbackReason::SolverTimeout:
-      ++result_.replan_timeouts;
       RRP_COUNTER_ADD("rrp.rh.replan_timeouts", 1);
       break;
     case FallbackReason::NumericalFailure:
-      ++result_.replan_numerical_failures;
       RRP_COUNTER_ADD("rrp.rh.replan_numerical_failures", 1);
       break;
     case FallbackReason::PlanRejected:
-      ++result_.replans_rejected;
       RRP_COUNTER_ADD("rrp.rh.replans_rejected", 1);
       break;
   }
@@ -574,7 +602,6 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
   // plan-consistent).
   if (plan_covers(t)) {
     ev.action = FallbackAction::ReusedPlanTail;
-    ++result_.fallback_reused_tail;
     RRP_COUNTER_ADD("rrp.rh.fallback_reused_tail", 1);
     handled = true;
   }
@@ -589,7 +616,6 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
       if (plan.feasible()) {
         commit_schedule(t, std::move(plan), estimates);
         ev.action = FallbackAction::HeuristicPlan;
-        ++result_.fallback_heuristic;
         RRP_COUNTER_ADD("rrp.rh.fallback_heuristic", 1);
         handled = true;
       }
@@ -603,7 +629,6 @@ void PolicyRunner::degrade(std::size_t t, std::size_t w, double store,
   if (!handled) {
     mode_ = PlanMode::None;
     ev.action = FallbackAction::OnDemand;
-    ++result_.fallback_on_demand;
     RRP_COUNTER_ADD("rrp.rh.fallback_on_demand", 1);
   }
 
@@ -756,17 +781,13 @@ void PolicyRunner::apply_revocation(std::size_t t, SlotRecord& rec) {
       rcfg.allow_spot_reacquire) {
     recovery = RevocationRecovery::ReacquiredSpot;
     replacement_price = in_.actual_spot[t];
-    ++result_.recovered_spot;
   } else if (rcfg.allow_migration) {
     recovery = RevocationRecovery::MigratedType;
     const market::VmClassInfo& alt = market::info(migration_target());
     replacement_price = alt.on_demand_hourly * alt.spot_mean_ratio;
     fixed_fee = rcfg.migration_cost;
-    ++result_.recovered_migration;
     result_.migrations.push_back(
         MigrationEvent{t, in_.vm, alt.id, rcfg.migration_cost});
-  } else {
-    ++result_.recovered_on_demand;
   }
 
   // The interrupted instance bills its partial slot; the replacement
@@ -778,18 +799,6 @@ void PolicyRunner::apply_revocation(std::size_t t, SlotRecord& rec) {
   rec.revoked = true;
   rec.price_paid = fraction * rec.price_paid + remaining * replacement_price;
   result_.cost.interruption += fixed_fee;
-  result_.work_lost += lost;
-  switch (*kind) {
-    case market::RevocationKind::BidCross:
-      ++result_.revoked_bid_cross;
-      break;
-    case market::RevocationKind::Hazard:
-      ++result_.revoked_hazard;
-      break;
-    case market::RevocationKind::Storm:
-      ++result_.revoked_storm;
-      break;
-  }
   RRP_COUNTER_ADD("rrp.rh.revocations", 1);
   RRP_OBS_EVENT("rh", "revocation",
                 {{"slot", static_cast<std::uint64_t>(t)},
@@ -897,8 +906,6 @@ SimulationResult PolicyRunner::run() {
     // Realised cost accounting.
     if (rec.rented) {
       result_.cost.compute += rec.price_paid;
-      ++result_.rentals;
-      if (!rec.won) ++result_.out_of_bid_events;
     }
     result_.cost.holding += in_.costs.holding(t) * store;
     result_.cost.transfer_in += in_.costs.generation_cost(rec.alpha, t);
@@ -939,19 +946,6 @@ double ideal_case_cost(const SimulationInputs& inputs) {
 double overpay_fraction(double policy_cost, double ideal_cost) {
   RRP_EXPECTS(ideal_cost > 0.0);
   return (policy_cost - ideal_cost) / ideal_cost;
-}
-
-double latency_percentile(std::span<const double> samples, double pct) {
-  RRP_EXPECTS(pct >= 0.0 && pct <= 100.0);
-  if (samples.empty()) return 0.0;
-  std::vector<double> sorted(samples.begin(), samples.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double rank =
-      pct / 100.0 * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(rank);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (rank - static_cast<double>(lo)) *
-                          (sorted[hi] - sorted[lo]);
 }
 
 }  // namespace rrp::core

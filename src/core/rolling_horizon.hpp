@@ -10,7 +10,6 @@
 // on-demand rental at lambda to keep serving demand.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/fault_injection.hpp"
@@ -135,27 +134,20 @@ struct MigrationEvent {
   double cost = 0.0;  ///< fixed migration fee paid (checkpoint transfer)
 };
 
+/// The outcome of one simulation.  Each event is recorded once, in its
+/// log (slots, fallbacks, price_faults, revocations, migrations); the
+/// counts over those logs are derived from them, not stored beside them.
 struct SimulationResult {
   CostBreakdown cost;        ///< realised, not planned
   std::vector<SlotRecord> slots;
-  std::size_t out_of_bid_events = 0;
-  std::size_t rentals = 0;
 
   // --- Degradation telemetry (one FallbackEvent per failed re-plan). ---
   std::vector<FallbackEvent> fallbacks;
   std::vector<PriceFeedEvent> price_faults;
-  std::size_t replan_timeouts = 0;
-  std::size_t replan_numerical_failures = 0;
-  std::size_t replans_rejected = 0;
-  std::size_t fallback_reused_tail = 0;
-  std::size_t fallback_heuristic = 0;
-  std::size_t fallback_on_demand = 0;
 
-  // --- Solver telemetry (MILP backend; all zero for the DP backend). ---
-  std::size_t solver_nodes_explored = 0;   ///< summed over all re-plans
-  std::size_t solver_warm_started_nodes = 0;
-  std::size_t solver_cold_solved_nodes = 0;
-  std::size_t solver_cuts_added = 0;       ///< root (l,S) cuts, summed
+  /// MILP work summed over all re-plans, failed ones included (all zero
+  /// for the DP backend).
+  milp::SolveWork solver;
 
   // --- Re-plan latency & model maintenance (ISSUE 10). -----------------
   /// Wall-clock seconds of each executed re-plan (model refresh
@@ -169,23 +161,24 @@ struct SimulationResult {
   std::size_t sarima_refits_kept = 0;
   std::size_t sarima_warm_refits = 0;
   std::size_t sarima_scratch_refits = 0;
-  std::size_t tree_repairs = 0;   ///< scenario trees repaired in place
+  std::size_t tree_repairs = 0;   ///< trees repaired from a cached copy
   std::size_t tree_rebuilds = 0;  ///< scenario trees built from scratch
 
   // --- Revocation telemetry (one RevocationEvent per revoked slot). ---
   std::vector<RevocationEvent> revocations;
   std::vector<MigrationEvent> migrations;
-  std::size_t revoked_bid_cross = 0;
-  std::size_t revoked_hazard = 0;
-  std::size_t revoked_storm = 0;
-  std::size_t recovered_spot = 0;       ///< rung 1: spot re-acquired
-  std::size_t recovered_migration = 0;  ///< rung 2: migrated type
-  std::size_t recovered_on_demand = 0;  ///< rung 3: on-demand backstop
-  double work_lost = 0.0;               ///< slot-fraction units redone
   double checkpoint_overhead_cost = 0.0;
 
+  std::size_t rentals() const;            ///< rented slots
+  std::size_t out_of_bid_events() const;  ///< rented slots that lost
   std::size_t degraded_replans() const { return fallbacks.size(); }
+  std::size_t count(FallbackReason reason) const;
+  std::size_t count(FallbackAction action) const;
   std::size_t revoked_slots() const { return revocations.size(); }
+  std::size_t count(market::RevocationKind kind) const;
+  std::size_t count(RevocationRecovery recovery) const;
+  /// Slot-fraction units of work redone, summed in event order.
+  double work_lost() const;
   /// Realised interruption spend (checkpoint + restart + migration).
   double interruption_cost() const { return cost.interruption; }
 
@@ -219,10 +212,5 @@ double ideal_case_cost(const SimulationInputs& inputs);
 /// Overpay of a policy relative to the ideal-case (oracle) cost, the
 /// y-axis of Figure 12(a): (cost - ideal) / ideal.
 double overpay_fraction(double policy_cost, double ideal_cost);
-
-/// Linear-interpolated percentile (0..100) of a sample set; 0 when
-/// empty.  Used for the re-plan latency p50/p95 reported by the CLI and
-/// the replan bench.
-double latency_percentile(std::span<const double> samples, double pct);
 
 }  // namespace rrp::core

@@ -368,11 +368,7 @@ SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
 
   SrrpPolicy policy;
   policy.status = result.status;
-  policy.nodes_explored = result.nodes_explored;
-  policy.warm_started_nodes = result.warm_started_nodes;
-  policy.cold_solved_nodes = result.cold_solved_nodes;
-  policy.factor_stats = result.factor_stats;
-  policy.cuts_added = result.cuts_added;
+  policy.work = result.work;
   policy.root_gap_closed = result.root_gap_closed;
   if (result.x.empty()) return policy;
 
@@ -400,10 +396,7 @@ SrrpPolicy solve_srrp_fl(const SrrpInstance& inst,
 
   SrrpPolicy policy;
   policy.status = result.status;
-  policy.nodes_explored = result.nodes_explored;
-  policy.warm_started_nodes = result.warm_started_nodes;
-  policy.cold_solved_nodes = result.cold_solved_nodes;
-  policy.factor_stats = result.factor_stats;
+  policy.work = result.work;
   if (result.x.empty()) return policy;
 
   const std::size_t V = inst.tree.num_vertices();

@@ -55,18 +55,12 @@ struct SrrpPolicy {
   std::vector<double> alpha, beta;
   std::vector<char> chi;
   double expected_cost = 0.0;
-  std::size_t nodes_explored = 0;
-  /// Node LPs re-optimised from the parent basis vs. cold-solved (see
-  /// milp::MipResult); zero for the tree-DP backend.
-  std::size_t warm_started_nodes = 0;
-  std::size_t cold_solved_nodes = 0;
-  /// Root-node (l,S) lot-sizing cuts (one chain per scenario path) and
-  /// the root-gap fraction they closed; zero outside the aggregated
+  /// The MILP solve's work (milp::MipResult::work); all zero for the
+  /// tree-DP backend.  Root (l,S) cuts come one chain per scenario path.
+  milp::SolveWork work;
+  /// Root-gap fraction the cuts closed; zero outside the aggregated
   /// MILP backend.
-  std::size_t cuts_added = 0;
   double root_gap_closed = 0.0;
-  /// Sparse-LU telemetry aggregated over every node LP solver.
-  lp::FactorizationStats factor_stats;
 
   bool feasible() const {
     return status == milp::MipStatus::Optimal ||

@@ -173,6 +173,7 @@ struct FactorizationStats {
     fill_ratio_sum += o.fill_ratio_sum;
     return *this;
   }
+  bool operator==(const FactorizationStats&) const = default;
 };
 
 /// Persistent simplex solver: copies the problem structure once at

@@ -48,16 +48,13 @@ struct NodeBoundGreater {
 
 /// Everything a tree-search worker owns privately: a persistent simplex
 /// solver whose factorised basis and work buffers live across the nodes
-/// this worker processes, and the worker's tallies, summed into the
-/// MipResult by Solver::run() after the join.
+/// this worker processes, and the worker's tally, summed into
+/// MipResult::work by Solver::run() after the join.
 struct WorkerState {
   explicit WorkerState(const lp::LinearProgram& lp) : solver(lp) {}
 
   lp::SimplexSolver solver;
-  std::size_t lp_iterations = 0;
-  std::size_t recoveries = 0;
-  std::size_t warm_nodes = 0;
-  std::size_t cold_nodes = 0;
+  SolveWork work;  ///< run() fills in factor; nodes_count_ counts nodes
 };
 
 /// Restores the bounds of the given variables on destruction, so the
@@ -154,7 +151,7 @@ class Solver {
   /// Returns the final root basis for seeding the tree (null when
   /// unusable) and sets `root_bound` to the strengthened relaxation
   /// value (internal minimisation space).
-  std::shared_ptr<const lp::Basis> run_root_cuts(lp::SimplexSolver& solver,
+  std::shared_ptr<const lp::Basis> run_root_cuts(WorkerState& ws,
                                                  double& root_bound);
 
   // -- tree search ------------------------------------------------------
@@ -257,11 +254,11 @@ class Solver {
   // minimisation space) and read in the single-threaded epilogue.
   double root_lp_obj_ = kInf;   ///< root relaxation value before cuts
   double root_cut_obj_ = kInf;  ///< root relaxation value after cuts
-  std::size_t cuts_added_ = 0;
 };
 
-std::shared_ptr<const lp::Basis> Solver::run_root_cuts(
-    lp::SimplexSolver& solver, double& root_bound) {
+std::shared_ptr<const lp::Basis> Solver::run_root_cuts(WorkerState& ws,
+                                                       double& root_bound) {
+  lp::SimplexSolver& solver = ws.solver;
   RRP_TRACE_SPAN("bnb.root_cuts");
   // Every round separates at the root point re-derived from a fresh
   // factorisation, as incumbents are: the separator's alpha* < delta *
@@ -295,7 +292,7 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(
     }
     RRP_TRACE_ARG("added", added);
     if (added == 0) break;
-    cuts_added_ += added;
+    ws.work.cuts_added += added;
     RRP_OBS_EVENT("bnb", "cut_round",
                   {{"round", static_cast<std::uint64_t>(round)},
                    {"added", static_cast<std::uint64_t>(added)}});
@@ -330,11 +327,11 @@ lp::Solution Solver::solve_node_lp(WorkerState& ws, const Node& node) {
   for (std::size_t k = 0; k < int_vars_.size(); ++k)
     ws.solver.set_variable_bounds(int_vars_[k], node.lo[k], node.hi[k]);
   lp::Solution sol = solve_with_recovery(ws, node.start.get());
-  ws.lp_iterations += sol.iterations;
+  ws.work.lp_iterations += sol.iterations;
   if (ws.solver.last_solve_was_warm())
-    ++ws.warm_nodes;
+    ++ws.work.warm_started_nodes;
   else
-    ++ws.cold_nodes;
+    ++ws.work.cold_solved_nodes;
   return sol;
 }
 
@@ -354,7 +351,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.pricing = lp::Pricing::Bland;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    ++ws.recoveries;
+    ++ws.work.lp_failures_recovered;
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 1}, {"ladder", "bland"}});
     return sol;
   } catch (const NumericalError&) {
@@ -365,7 +362,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
   retry.refactor_every = 1;
   try {
     lp::Solution sol = ws.solver.solve(retry);
-    ++ws.recoveries;
+    ++ws.work.lp_failures_recovered;
     RRP_OBS_EVENT("lp", "recovery", {{"rung", 2}, {"ladder", "refactor"}});
     return sol;
   } catch (const NumericalError&) {
@@ -385,7 +382,7 @@ lp::Solution Solver::solve_with_recovery(WorkerState& ws,
         j, c + 9.3e-10 * (1.0 + std::fabs(c)) * (jitter - 0.5));
   }
   lp::Solution sol = ws.solver.solve(retry);  // rethrows on failure
-  ++ws.recoveries;
+  ++ws.work.lp_failures_recovered;
   RRP_OBS_EVENT("lp", "recovery", {{"rung", 3}, {"ladder", "perturb"}});
   return sol;
 }
@@ -472,7 +469,7 @@ void Solver::try_rounding(WorkerState& ws, const Node& node,
     ws.solver.set_variable_bounds(int_vars_[k], v, v);
   }
   lp::Solution sol = solve_with_recovery(ws, start);
-  ws.lp_iterations += sol.iterations;
+  ws.work.lp_iterations += sol.iterations;
   if (sol.status == lp::SolveStatus::Optimal) offer_lp_point(ws, sol.x);
 }
 
@@ -654,7 +651,7 @@ MipResult Solver::run() {
   std::shared_ptr<const lp::Basis> root_start;
   double root_bound = -kInf;
   if (opt_.root_cuts && opt_.cut_generator != nullptr && !int_vars_.empty())
-    root_start = run_root_cuts(states[0].solver, root_bound);
+    root_start = run_root_cuts(states[0], root_bound);
   for (std::size_t w = 1; w < jobs; ++w) states.emplace_back(relaxation_);
 
   {
@@ -686,23 +683,20 @@ MipResult Solver::run() {
   }
 
   // All workers have joined (TaskGroup::wait above): sum their tallies.
-  result.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
-  result.cuts_added = cuts_added_;
-  for (const WorkerState& ws : states) {
-    result.lp_iterations += ws.lp_iterations;
-    result.lp_failures_recovered += ws.recoveries;
-    result.warm_started_nodes += ws.warm_nodes;
-    result.cold_solved_nodes += ws.cold_nodes;
-    result.factor_stats += ws.solver.factor_stats();
+  SolveWork& work = result.work;
+  for (WorkerState& ws : states) {
+    ws.work.factor = ws.solver.factor_stats();
+    work += ws.work;
   }
+  work.nodes_explored = nodes_count_.load(std::memory_order_relaxed);
   // The process-wide scrape keeps every solve's work, failed ones too.
   // (rrp.lp.* is fed by the simplex layer itself.)
-  RRP_COUNTER_ADD("rrp.bnb.nodes", result.nodes_explored);
-  RRP_COUNTER_ADD("rrp.bnb.lp_iterations", result.lp_iterations);
-  RRP_COUNTER_ADD("rrp.bnb.lp_recoveries", result.lp_failures_recovered);
-  RRP_COUNTER_ADD("rrp.bnb.warm_nodes", result.warm_started_nodes);
-  RRP_COUNTER_ADD("rrp.bnb.cold_nodes", result.cold_solved_nodes);
-  RRP_COUNTER_ADD("rrp.bnb.cuts_added", result.cuts_added);
+  RRP_COUNTER_ADD("rrp.bnb.nodes", work.nodes_explored);
+  RRP_COUNTER_ADD("rrp.bnb.lp_iterations", work.lp_iterations);
+  RRP_COUNTER_ADD("rrp.bnb.lp_recoveries", work.lp_failures_recovered);
+  RRP_COUNTER_ADD("rrp.bnb.warm_nodes", work.warm_started_nodes);
+  RRP_COUNTER_ADD("rrp.bnb.cold_nodes", work.cold_solved_nodes);
+  RRP_COUNTER_ADD("rrp.bnb.cuts_added", work.cuts_added);
 
   // The join makes this lock uncontended; it closes the epilogue reads
   // under the same capability contract the workers used, instead of
@@ -710,7 +704,7 @@ MipResult Solver::run() {
   MutexLock lock(mtx_);
   if (error_) std::rethrow_exception(error_);
 
-  if (result.cuts_added > 0 && have_incumbent_ && std::isfinite(root_lp_obj_)) {
+  if (work.cuts_added > 0 && have_incumbent_ && std::isfinite(root_lp_obj_)) {
     const double denom = incumbent_obj_ - root_lp_obj_;
     if (denom > 1e-12)
       result.root_gap_closed =

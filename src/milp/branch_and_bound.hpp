@@ -12,7 +12,7 @@
 //     node LP re-optimises from it with the dual simplex (a bound change
 //     keeps the parent basis dual feasible), via a persistent
 //     lp::SimplexSolver that reuses its factorisation and work buffers
-//     across nodes.  MipResult::warm_started_nodes /
+//     across nodes.  SolveWork::warm_started_nodes /
 //     cold_solved_nodes report the split.
 //   * Parallel tree search — `jobs` workers pull nodes from a shared
 //     frontier (mutex-protected heap on common::ThreadPool), each
@@ -72,11 +72,10 @@ struct BnbOptions {
   lp::SimplexOptions lp;
 };
 
-struct MipResult {
-  MipStatus status = MipStatus::NoIncumbent;
-  double objective = 0.0;     ///< incumbent objective (model sense)
-  double best_bound = 0.0;    ///< proven bound on the optimum
-  std::vector<double> x;      ///< incumbent point (empty if none)
+/// The work one solve did.  Counts only, so the work of many solves is
+/// their sum (operator+=): RentalPlan and SrrpPolicy carry their
+/// solve's, SimulationResult the sum over its re-plans.
+struct SolveWork {
   std::size_t nodes_explored = 0;
   std::size_t lp_iterations = 0;
   /// Node LPs that threw rrp::NumericalError and succeeded on a retry
@@ -89,12 +88,33 @@ struct MipResult {
   std::size_t cold_solved_nodes = 0;
   /// Root-node cutting planes appended to the relaxation.
   std::size_t cuts_added = 0;
+  /// Sparse-factorisation telemetry over the root cut loop and every
+  /// worker's node solver.
+  lp::FactorizationStats factor;
+
+  SolveWork& operator+=(const SolveWork& o) {
+    nodes_explored += o.nodes_explored;
+    lp_iterations += o.lp_iterations;
+    lp_failures_recovered += o.lp_failures_recovered;
+    warm_started_nodes += o.warm_started_nodes;
+    cold_solved_nodes += o.cold_solved_nodes;
+    cuts_added += o.cuts_added;
+    factor += o.factor;
+    return *this;
+  }
+  bool operator==(const SolveWork&) const = default;
+};
+
+struct MipResult {
+  MipStatus status = MipStatus::NoIncumbent;
+  double objective = 0.0;     ///< incumbent objective (model sense)
+  double best_bound = 0.0;    ///< proven bound on the optimum
+  std::vector<double> x;      ///< incumbent point (empty if none)
+  SolveWork work;
   /// Fraction of the root-LP-to-incumbent gap closed by the root cuts,
   /// in [0, 1]; 0 when no cuts were separated or no incumbent exists.
+  /// A ratio, so it is not part of the summable SolveWork.
   double root_gap_closed = 0.0;
-  /// Sparse-factorisation telemetry aggregated over the root cut loop
-  /// and every worker's node solver.
-  lp::FactorizationStats factor_stats;
 
   /// Relative optimality gap; 0 when proven optimal, +infinity when
   /// there is no incumbent or the proven bound is not finite.

@@ -200,13 +200,13 @@ TEST(BranchAndBound, ExpiredDeadlineOnEntryReturnsImmediately) {
   const std::uint64_t reads_before = clock.reads();
   const MipResult r = solve(m, opt);
   EXPECT_EQ(r.status, MipStatus::NoIncumbent);
-  EXPECT_EQ(r.nodes_explored, 0u);
+  EXPECT_EQ(r.work.nodes_explored, 0u);
   EXPECT_TRUE(r.x.empty());
   // Bound must stay trivially valid for a maximisation: +infinity.
   EXPECT_EQ(r.best_bound, std::numeric_limits<double>::infinity());
   // O(1): one deadline poll, no node exploration, no LP work.
   EXPECT_EQ(clock.reads(), reads_before + 1);
-  EXPECT_EQ(r.lp_iterations, 0u);
+  EXPECT_EQ(r.work.lp_iterations, 0u);
 }
 
 TEST(BranchAndBound, MidSolveDeadlineReturnsIncumbentWithValidBound) {
@@ -246,7 +246,7 @@ TEST(BranchAndBound, MidSolveDeadlineReturnsIncumbentWithValidBound) {
     const MipResult r = solve(m, opt);
     ASSERT_NE(r.status, MipStatus::Optimal) << "cut-off did not interrupt";
     if (r.status != MipStatus::TimeLimit) continue;
-    EXPECT_GE(r.nodes_explored, 1u);
+    EXPECT_GE(r.work.nodes_explored, 1u);
     ASSERT_FALSE(r.x.empty());
     // Anytime contract (minimisation): bound <= optimum <= incumbent.
     EXPECT_LE(r.best_bound, exact.objective + 1e-6);
@@ -273,7 +273,7 @@ TEST(BranchAndBound, RecoveryLadderRetriesInjectedLpFailures) {
     const MipResult r = solve(m, opt);
     ASSERT_EQ(r.status, MipStatus::Optimal) << failures << " failures";
     EXPECT_NEAR(r.objective, exact.objective, 1e-6);
-    EXPECT_GE(r.lp_failures_recovered, 1u);
+    EXPECT_GE(r.work.lp_failures_recovered, 1u);
     EXPECT_EQ(inj.armed_lp_failures(), 0u);
   }
 }
@@ -298,8 +298,8 @@ TEST(BranchAndBound, BlandRecoveryRungRunsTheDualPath) {
   const MipResult r = solve(m, opt);
   ASSERT_EQ(r.status, MipStatus::Optimal);
   EXPECT_NEAR(r.objective, 5.0, 1e-9);
-  EXPECT_EQ(r.lp_failures_recovered, 1u);
-  EXPECT_EQ(r.cold_solved_nodes, 1u);
+  EXPECT_EQ(r.work.lp_failures_recovered, 1u);
+  EXPECT_EQ(r.work.cold_solved_nodes, 1u);
   EXPECT_EQ(inj.armed_lp_failures(), 0u);
   EXPECT_GT(registry.counter("rrp.lp.pivots.dual").value(), dual0);
   EXPECT_EQ(registry.counter("rrp.lp.pivots.primal").value() - primal0, 1u);

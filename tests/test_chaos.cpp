@@ -14,7 +14,9 @@
 #include "core/demand.hpp"
 #include "core/policies.hpp"
 #include "core/rolling_horizon.hpp"
+#include "market/revocation.hpp"
 #include "market/trace_generator.hpp"
+#include "obs/registry.hpp"
 
 namespace {
 
@@ -74,18 +76,8 @@ void expect_inventory_balanced(const SimulationInputs& in,
     }
   }
   EXPECT_NEAR(r.cost.compute, compute, 1e-9);
-  EXPECT_EQ(r.rentals, rentals);
+  EXPECT_EQ(r.rentals(), rentals);
   EXPECT_TRUE(std::isfinite(r.total_cost()));
-}
-
-void expect_counters_consistent(const SimulationResult& r) {
-  EXPECT_EQ(r.degraded_replans(), r.fallbacks.size());
-  EXPECT_EQ(r.fallbacks.size(), r.replan_timeouts +
-                                    r.replan_numerical_failures +
-                                    r.replans_rejected);
-  EXPECT_EQ(r.fallbacks.size(), r.fallback_reused_tail +
-                                    r.fallback_heuristic +
-                                    r.fallback_on_demand);
 }
 
 TEST(Chaos, SolverFaultAtEverySlotEveryPolicyCompletes) {
@@ -103,7 +95,6 @@ TEST(Chaos, SolverFaultAtEverySlotEveryPolicyCompletes) {
     SCOPED_TRACE(policy.name);
     const SimulationResult r = simulate_policy(in, policy, &inj);
     expect_inventory_balanced(in, r);
-    expect_counters_consistent(r);
     EXPECT_TRUE(r.price_faults.empty());
 
     if (policy.planner == PlannerKind::NoPlan) {
@@ -116,9 +107,9 @@ TEST(Chaos, SolverFaultAtEverySlotEveryPolicyCompletes) {
     // attempt hits an injected fault: exactly one FallbackEvent per
     // slot, reasons matching the parity of the schedule.
     ASSERT_EQ(r.fallbacks.size(), kHorizon);
-    EXPECT_EQ(r.replan_timeouts, kHorizon / 2);
-    EXPECT_EQ(r.replan_numerical_failures, kHorizon / 2);
-    EXPECT_EQ(r.replans_rejected, 0u);
+    EXPECT_EQ(r.count(FallbackReason::SolverTimeout), kHorizon / 2);
+    EXPECT_EQ(r.count(FallbackReason::NumericalFailure), kHorizon / 2);
+    EXPECT_EQ(r.count(FallbackReason::PlanRejected), 0u);
     for (std::size_t t = 0; t < kHorizon; ++t) {
       const FallbackEvent& ev = r.fallbacks[t];
       EXPECT_EQ(ev.slot, t);
@@ -130,9 +121,10 @@ TEST(Chaos, SolverFaultAtEverySlotEveryPolicyCompletes) {
     // is exhausted (every `lookahead` slots), its tail reused otherwise;
     // the on-demand rung is never needed.
     const std::size_t heuristic_plans = kHorizon / policy.lookahead;
-    EXPECT_EQ(r.fallback_heuristic, heuristic_plans);
-    EXPECT_EQ(r.fallback_reused_tail, kHorizon - heuristic_plans);
-    EXPECT_EQ(r.fallback_on_demand, 0u);
+    EXPECT_EQ(r.count(FallbackAction::HeuristicPlan), heuristic_plans);
+    EXPECT_EQ(r.count(FallbackAction::ReusedPlanTail),
+              kHorizon - heuristic_plans);
+    EXPECT_EQ(r.count(FallbackAction::OnDemand), 0u);
     for (const FallbackEvent& ev : r.fallbacks) {
       const bool exhausted = ev.slot % policy.lookahead == 0;
       EXPECT_EQ(ev.action, exhausted ? FallbackAction::HeuristicPlan
@@ -160,7 +152,6 @@ TEST(Chaos, PriceFeedFaultAtEverySlotIsSanitized) {
     SCOPED_TRACE(policy.name);
     const SimulationResult r = simulate_policy(in, policy, &inj);
     expect_inventory_balanced(in, r);
-    expect_counters_consistent(r);
     // Feed faults alone never degrade planning.
     EXPECT_EQ(r.fallbacks.size(), 0u);
 
@@ -210,12 +201,12 @@ TEST(Chaos, CombinedSolverAndPriceFaultsEverySlot) {
     SCOPED_TRACE(policy.name);
     const SimulationResult r = simulate_policy(in, policy, &inj);
     expect_inventory_balanced(in, r);
-    expect_counters_consistent(r);
     ASSERT_EQ(r.price_faults.size(), kHorizon);
     if (policy.planner == PlannerKind::NoPlan) continue;
     ASSERT_EQ(r.fallbacks.size(), kHorizon);
-    EXPECT_EQ(r.replan_numerical_failures, (kHorizon + 2) / 3);
-    EXPECT_EQ(r.replan_timeouts, kHorizon - (kHorizon + 2) / 3);
+    EXPECT_EQ(r.count(FallbackReason::NumericalFailure), (kHorizon + 2) / 3);
+    EXPECT_EQ(r.count(FallbackReason::SolverTimeout),
+              kHorizon - (kHorizon + 2) / 3);
   }
 }
 
@@ -234,11 +225,10 @@ TEST(Chaos, RealDeadlinePathDegradesOnMilpBackend) {
 
   const SimulationResult r = simulate_policy(in, policy);
   expect_inventory_balanced(in, r);
-  expect_counters_consistent(r);
   ASSERT_EQ(r.fallbacks.size(), kHorizon);
-  EXPECT_EQ(r.replan_timeouts, kHorizon);
-  EXPECT_EQ(r.fallback_heuristic, 1u);            // slot 0 plans fresh
-  EXPECT_EQ(r.fallback_reused_tail, kHorizon - 1);
+  EXPECT_EQ(r.count(FallbackReason::SolverTimeout), kHorizon);
+  EXPECT_EQ(r.count(FallbackAction::HeuristicPlan), 1u);  // slot 0 fresh
+  EXPECT_EQ(r.count(FallbackAction::ReusedPlanTail), kHorizon - 1);
   for (const FallbackEvent& ev : r.fallbacks)
     EXPECT_EQ(ev.reason, FallbackReason::SolverTimeout);
   EXPECT_GT(clock.reads(), 0u);
@@ -287,7 +277,66 @@ TEST(Chaos, SingleSlotFaultOnlyDegradesThatSlot) {
   EXPECT_EQ(r.fallbacks[0].reason, FallbackReason::SolverTimeout);
   // Slot 4's fresh plan still covers slot 5.
   EXPECT_EQ(r.fallbacks[0].action, FallbackAction::ReusedPlanTail);
-  EXPECT_EQ(r.replan_timeouts, 1u);
+  EXPECT_EQ(r.count(FallbackReason::SolverTimeout), 1u);
+}
+
+// The process-wide scrape and the result count the same events: each
+// rrp.rh.* counter moves by the result's count over its event log, and
+// each rrp.bnb.* counter by the result's summed solver work.  One MILP
+// simulation carries every fault kind, so no counter is trivially zero.
+TEST(Chaos, RegistryCountersMatchTheResult) {
+  SimulationInputs in = chaos_inputs();
+  in.revocation = rrp::market::RevocationConfig::storm();
+  in.revocation.seed = 4;
+  FaultInjector inj(29);
+  for (std::size_t t = 1; t < kHorizon; t += 6) {
+    inj.inject_solver_timeout(t);
+    inj.inject_solver_numerical_failure(t + 2);
+  }
+  for (std::size_t t = 0; t < kHorizon; t += 5) inj.inject_price_gap(t);
+  inj.arm_lp_failures(1);  // one node LP recovered by the ladder
+  PolicyConfig policy = sto_exp_mean_policy();
+  policy.backend = PlannerBackend::Milp;
+  policy.solver.lp.fault_injector = &inj;
+
+  const auto& registry = rrp::obs::global_registry();
+  const rrp::obs::MetricsSnapshot before = registry.scrape();
+  const SimulationResult r = simulate_policy(in, policy, &inj);
+  const rrp::obs::MetricsSnapshot after = registry.scrape();
+  const auto delta = [&](const char* name) {
+    return static_cast<std::size_t>(after.counter(name) -
+                                    before.counter(name));
+  };
+
+  ASSERT_GT(r.count(FallbackReason::SolverTimeout), 0u);
+  ASSERT_GT(r.count(FallbackReason::NumericalFailure), 0u);
+  ASSERT_GT(r.revocations.size(), 0u);
+  ASSERT_GT(r.price_faults.size(), 0u);
+  ASSERT_GT(r.solver.nodes_explored, 0u);
+  ASSERT_GT(r.solver.lp_failures_recovered, 0u);
+
+  EXPECT_EQ(delta("rrp.rh.replans"), r.replan_seconds.size());
+  EXPECT_EQ(delta("rrp.rh.replan_timeouts"),
+            r.count(FallbackReason::SolverTimeout));
+  EXPECT_EQ(delta("rrp.rh.replan_numerical_failures"),
+            r.count(FallbackReason::NumericalFailure));
+  EXPECT_EQ(delta("rrp.rh.replans_rejected"),
+            r.count(FallbackReason::PlanRejected));
+  EXPECT_EQ(delta("rrp.rh.fallback_reused_tail"),
+            r.count(FallbackAction::ReusedPlanTail));
+  EXPECT_EQ(delta("rrp.rh.fallback_heuristic"),
+            r.count(FallbackAction::HeuristicPlan));
+  EXPECT_EQ(delta("rrp.rh.fallback_on_demand"),
+            r.count(FallbackAction::OnDemand));
+  EXPECT_EQ(delta("rrp.rh.revocations"), r.revocations.size());
+  EXPECT_EQ(delta("rrp.rh.price_faults"), r.price_faults.size());
+
+  EXPECT_EQ(delta("rrp.bnb.nodes"), r.solver.nodes_explored);
+  EXPECT_EQ(delta("rrp.bnb.lp_iterations"), r.solver.lp_iterations);
+  EXPECT_EQ(delta("rrp.bnb.lp_recoveries"), r.solver.lp_failures_recovered);
+  EXPECT_EQ(delta("rrp.bnb.warm_nodes"), r.solver.warm_started_nodes);
+  EXPECT_EQ(delta("rrp.bnb.cold_nodes"), r.solver.cold_solved_nodes);
+  EXPECT_EQ(delta("rrp.bnb.cuts_added"), r.solver.cuts_added);
 }
 
 }  // namespace

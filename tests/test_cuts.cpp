@@ -247,16 +247,16 @@ TEST(LotSizingCuts, RootCutsShrinkDrrpTree) {
   const auto plan_off =
       core::solve_drrp(inst, off, core::DrrpFormulation::Aggregated);
   ASSERT_EQ(plan_off.status, milp::MipStatus::Optimal);
-  EXPECT_EQ(plan_off.cuts_added, 0u);
+  EXPECT_EQ(plan_off.work.cuts_added, 0u);
 
   milp::BnbOptions on;  // root_cuts defaults to true
   const auto plan_on =
       core::solve_drrp(inst, on, core::DrrpFormulation::Aggregated);
   ASSERT_EQ(plan_on.status, milp::MipStatus::Optimal);
-  EXPECT_GT(plan_on.cuts_added, 0u);
+  EXPECT_GT(plan_on.work.cuts_added, 0u);
   EXPECT_GE(plan_on.root_gap_closed, 0.0);
   EXPECT_LE(plan_on.root_gap_closed, 1.0);
-  EXPECT_LT(plan_on.nodes_explored, plan_off.nodes_explored);
+  EXPECT_LT(plan_on.work.nodes_explored, plan_off.work.nodes_explored);
   EXPECT_NEAR(plan_on.cost.total(), plan_off.cost.total(), 1e-6);
 }
 

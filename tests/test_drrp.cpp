@@ -257,8 +257,8 @@ TEST(DrrpColdPath, FacilityLocationRelaxationIsOneDualSolve) {
   // The MILP on top: the relaxation is integral, so one cold node.
   const RentalPlan plan = solve_drrp(inst);
   ASSERT_EQ(plan.status, rrp::milp::MipStatus::Optimal);
-  EXPECT_EQ(plan.nodes_explored, 1u);
-  EXPECT_EQ(plan.cold_solved_nodes, 1u);
+  EXPECT_EQ(plan.work.nodes_explored, 1u);
+  EXPECT_EQ(plan.work.cold_solved_nodes, 1u);
   EXPECT_EQ(registry.counter("rrp.bnb.cold_nodes").value() - cold0, 1u);
   EXPECT_NEAR(plan.cost.total(), solve_drrp_wagner_whitin(inst).cost.total(),
               1e-6 * plan.cost.total());

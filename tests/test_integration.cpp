@@ -126,7 +126,7 @@ TEST_F(EndToEnd, SimulatorConsistencyAcrossBackends) {
     EXPECT_NEAR(a.total_cost(), b.total_cost(),
                 1e-4 * (1.0 + a.total_cost()))
         << base.name;
-    EXPECT_EQ(a.rentals, b.rentals) << base.name;
+    EXPECT_EQ(a.rentals(), b.rentals()) << base.name;
   }
 }
 

@@ -109,7 +109,7 @@ TEST(ParallelBnb, BitIdenticalObjectiveAcrossJobCounts) {
       EXPECT_EQ(parallel.best_bound, serial.best_bound)
           << "trial " << trial << " jobs " << jobs;
       inst.expect_feasible(parallel.x);
-      if (parallel.nodes_explored > 1) ++parallel_multinode;
+      if (parallel.work.nodes_explored > 1) ++parallel_multinode;
     }
   }
   // The suite must actually exercise multi-node parallel trees, not
@@ -127,8 +127,8 @@ TEST(ParallelBnb, WarmStartsMatchColdSolvesAndAreCounted) {
     opt.warm_start = false;
     const MipResult cold = solve(inst.model, opt);
     ASSERT_EQ(cold.status, MipStatus::Optimal) << "trial " << trial;
-    EXPECT_EQ(cold.warm_started_nodes, 0u);
-    EXPECT_GT(cold.cold_solved_nodes, 0u);
+    EXPECT_EQ(cold.work.warm_started_nodes, 0u);
+    EXPECT_GT(cold.work.cold_solved_nodes, 0u);
 
     opt.warm_start = true;
     const MipResult warm = solve(inst.model, opt);
@@ -137,13 +137,13 @@ TEST(ParallelBnb, WarmStartsMatchColdSolvesAndAreCounted) {
     // optima at a node), so the comparison is numeric, not bitwise.
     EXPECT_NEAR(warm.objective, cold.objective, 1e-6) << "trial " << trial;
     inst.expect_feasible(warm.x);
-    warm_total += warm.warm_started_nodes;
+    warm_total += warm.work.warm_started_nodes;
     // Every counted LP is attached to a popped node (pruned nodes solve
     // no LP, so the sum is at most nodes_explored and at least 1: the
     // root always solves).
-    EXPECT_GE(warm.warm_started_nodes + warm.cold_solved_nodes, 1u);
-    EXPECT_LE(warm.warm_started_nodes + warm.cold_solved_nodes,
-              warm.nodes_explored);
+    EXPECT_GE(warm.work.warm_started_nodes + warm.work.cold_solved_nodes, 1u);
+    EXPECT_LE(warm.work.warm_started_nodes + warm.work.cold_solved_nodes,
+              warm.work.nodes_explored);
   }
   // The point of the feature: most node LPs should actually warm start.
   EXPECT_GT(warm_total, 20u);
@@ -232,7 +232,7 @@ TEST(ParallelBnbChaos, InjectedLpFailuresAreRecoveredInParallel) {
     ASSERT_EQ(r.status, MipStatus::Optimal) << "trial " << trial;
     EXPECT_NEAR(r.objective, exact.objective, 1e-6) << "trial " << trial;
     inst.expect_feasible(r.x);
-    recovered_total += r.lp_failures_recovered;
+    recovered_total += r.work.lp_failures_recovered;
   }
   EXPECT_GT(recovered_total, 0u);
 }

@@ -90,12 +90,7 @@ void expect_inventory_balanced(const SimulationInputs& in,
 }
 
 void expect_revocation_telemetry_consistent(const SimulationResult& r) {
-  EXPECT_EQ(r.revocations.size(),
-            r.revoked_bid_cross + r.revoked_hazard + r.revoked_storm);
-  EXPECT_EQ(r.revocations.size(),
-            r.recovered_spot + r.recovered_migration + r.recovered_on_demand);
-  EXPECT_EQ(r.recovered_migration, r.migrations.size());
-  double lost = 0.0;
+  EXPECT_EQ(r.count(RevocationRecovery::MigratedType), r.migrations.size());
   for (const RevocationEvent& ev : r.revocations) {
     ASSERT_LT(ev.slot, r.slots.size());
     EXPECT_TRUE(r.slots[ev.slot].revoked) << "slot " << ev.slot;
@@ -105,9 +100,7 @@ void expect_revocation_telemetry_consistent(const SimulationResult& r) {
     EXPECT_LT(ev.fraction, 1.0);
     EXPECT_GE(ev.lost_work, 0.0);
     EXPECT_LE(ev.lost_work, ev.fraction + 1e-12);
-    lost += ev.lost_work;
   }
-  EXPECT_NEAR(r.work_lost, lost, 1e-9);
   EXPECT_GE(r.cost.interruption, 0.0);
   EXPECT_GE(r.checkpoint_overhead_cost, 0.0);
   // Slots never revoke without a held spot instance.
@@ -163,9 +156,6 @@ TEST(RevocationStormChaos, SolverFaultsPlusStormsCompose) {
     const SimulationResult r = simulate_policy(in, policy, &inj);
     expect_inventory_balanced(in, r);
     expect_revocation_telemetry_consistent(r);
-    EXPECT_EQ(r.fallbacks.size(), r.fallback_reused_tail +
-                                      r.fallback_heuristic +
-                                      r.fallback_on_demand);
   }
 }
 
@@ -192,7 +182,7 @@ TEST(RevocationChaos, CoincidentTimeoutAndRevocationCountOnce) {
   for (const FallbackEvent& ev : r.fallbacks)
     if (ev.slot == 0) ++fallbacks_at_0;
   EXPECT_EQ(fallbacks_at_0, 1u);
-  EXPECT_EQ(r.replan_timeouts, 1u);
+  EXPECT_EQ(r.count(FallbackReason::SolverTimeout), 1u);
 
   ASSERT_EQ(r.revocations.size(), 1u);
   EXPECT_EQ(r.revocations[0].slot, 0u);
@@ -267,21 +257,25 @@ TEST(RevocationChaos, RecoveryLadderRespectsConfig) {
 
   const SimulationResult spot = simulate_policy(in, policy);
   EXPECT_GT(spot.revocations.size(), 0u);
-  EXPECT_EQ(spot.recovered_migration + spot.recovered_on_demand,
-            spot.revoked_bid_cross + spot.revoked_storm)
+  EXPECT_EQ(spot.count(RevocationRecovery::MigratedType) +
+                spot.count(RevocationRecovery::OnDemandBackstop),
+            spot.count(RevocationKind::BidCross) +
+                spot.count(RevocationKind::Storm))
       << "hazards must re-acquire spot while allowed";
 
   in.revocation.allow_spot_reacquire = false;
   const SimulationResult migrate = simulate_policy(in, policy);
-  EXPECT_EQ(migrate.recovered_spot, 0u);
-  EXPECT_EQ(migrate.migrations.size(), migrate.recovered_migration);
-  EXPECT_GT(migrate.recovered_migration, 0u);
+  EXPECT_EQ(migrate.count(RevocationRecovery::ReacquiredSpot), 0u);
+  EXPECT_EQ(migrate.migrations.size(),
+            migrate.count(RevocationRecovery::MigratedType));
+  EXPECT_GT(migrate.count(RevocationRecovery::MigratedType), 0u);
 
   in.revocation.allow_migration = false;
   const SimulationResult backstop = simulate_policy(in, policy);
-  EXPECT_EQ(backstop.recovered_spot, 0u);
-  EXPECT_EQ(backstop.recovered_migration, 0u);
-  EXPECT_EQ(backstop.recovered_on_demand, backstop.revocations.size());
+  EXPECT_EQ(backstop.count(RevocationRecovery::ReacquiredSpot), 0u);
+  EXPECT_EQ(backstop.count(RevocationRecovery::MigratedType), 0u);
+  EXPECT_EQ(backstop.count(RevocationRecovery::OnDemandBackstop),
+            backstop.revocations.size());
   for (const auto& r : {spot, migrate, backstop}) {
     expect_inventory_balanced(in, r);
     expect_revocation_telemetry_consistent(r);
@@ -297,7 +291,7 @@ TEST(RevocationChaos, DisabledLayerIsInert) {
     const SimulationResult r = simulate_policy(in, policy);
     EXPECT_TRUE(r.revocations.empty());
     EXPECT_TRUE(r.migrations.empty());
-    EXPECT_EQ(r.work_lost, 0.0);
+    EXPECT_EQ(r.work_lost(), 0.0);
     EXPECT_EQ(r.cost.interruption, 0.0);
     EXPECT_EQ(r.checkpoint_overhead_cost, 0.0);
   }

@@ -103,7 +103,7 @@ TEST(RollingHorizon, NoPlanRentsEverySlotWithDemand) {
     EXPECT_NEAR(result.slots[t].alpha, in.demand[t], 1e-9);
     EXPECT_NEAR(result.slots[t].inventory, 0.0, 1e-9);
   }
-  EXPECT_EQ(result.rentals, 24u);
+  EXPECT_EQ(result.rentals(), 24u);
   // On-demand semantics: every slot pays lambda.
   EXPECT_NEAR(result.cost.compute, 24 * 0.2, 1e-9);
 }
@@ -111,7 +111,7 @@ TEST(RollingHorizon, NoPlanRentsEverySlotWithDemand) {
 TEST(RollingHorizon, OracleNeverLosesAndPaysSpot) {
   const auto in = make_inputs(VmClass::M1Large, 24, 3);
   const auto result = simulate_policy(in, oracle_policy());
-  EXPECT_EQ(result.out_of_bid_events, 0u);
+  EXPECT_EQ(result.out_of_bid_events(), 0u);
   for (const auto& slot : result.slots) {
     if (slot.rented) {
       EXPECT_TRUE(slot.won);
@@ -129,7 +129,7 @@ TEST(RollingHorizon, OnDemandPolicyAlwaysPaysLambda) {
       EXPECT_DOUBLE_EQ(slot.price_paid, 0.2);
     }
   }
-  EXPECT_EQ(result.out_of_bid_events, 0u);
+  EXPECT_EQ(result.out_of_bid_events(), 0u);
 }
 
 TEST(RollingHorizon, DemandAlwaysServed) {
@@ -189,7 +189,7 @@ TEST(RollingHorizon, PoliciesAreDeterministic) {
   const auto a = simulate_policy(in, det_exp_mean_policy());
   const auto b = simulate_policy(in, det_exp_mean_policy());
   EXPECT_DOUBLE_EQ(a.total_cost(), b.total_cost());
-  EXPECT_EQ(a.rentals, b.rentals);
+  EXPECT_EQ(a.rentals(), b.rentals());
 }
 
 TEST(RollingHorizon, TransferOutConstantAcrossPolicies) {
@@ -213,7 +213,7 @@ TEST(RollingHorizon, LowFixedBidForcesOutOfBidEvents) {
   policy.fixed_bid = 1e-3;  // below every realistic spot price
   const auto result = simulate_policy(in, policy);
   // Whenever the planner rents, the lowball bid loses and pays lambda.
-  EXPECT_EQ(result.out_of_bid_events, result.rentals);
+  EXPECT_EQ(result.out_of_bid_events(), result.rentals());
   for (const auto& slot : result.slots) {
     if (slot.rented) {
       EXPECT_DOUBLE_EQ(slot.price_paid, 0.2);

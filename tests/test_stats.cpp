@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hpp"
@@ -37,6 +40,43 @@ TEST(Stats, QuantileMatchesRType7) {
   EXPECT_DOUBLE_EQ(stats::quantile(x, 0.5), 2.5);
   EXPECT_DOUBLE_EQ(stats::quantile(x, 0.75), 3.25);
   EXPECT_DOUBLE_EQ(stats::quantile(x, 1.0), 4.0);
+}
+
+// The re-plan latency percentile the CLI, fig4 and bench_replan_json
+// printed before they called stats::quantile, kept verbatim as the
+// reference: rank = pct / 100 * (n - 1), interpolated towards lo + 1.
+double latency_percentile_reference(std::vector<double> sorted, double pct) {
+  std::sort(sorted.begin(), sorted.end());
+  const double rank = pct / 100.0 * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(rank);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (rank - static_cast<double>(lo)) *
+                          (sorted[hi] - sorted[lo]);
+}
+
+TEST(Stats, QuantileIsBitIdenticalToTheLatencyPercentile) {
+  // Latency-like samples (seconds, skewed, with ties) of every length a
+  // re-plan run produces, at the printed p50/p95 and a sweep of others.
+  rrp::Rng rng(4096);
+  for (std::size_t n = 1; n <= 80; ++n) {
+    std::vector<double> x(n);
+    for (double& v : x) v = 1e-5 * std::floor(rng.exponential(0.5) * 64.0);
+    for (int pct = 0; pct <= 100; ++pct) {
+      const double p = static_cast<double>(pct);
+      const double want = latency_percentile_reference(x, p);
+      const double got = stats::quantile(x, p / 100.0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n " << n << ", pct " << pct;
+    }
+    // The CLI and benches pass the literals 0.50 and 0.95.
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats::quantile(x, 0.50)),
+              std::bit_cast<std::uint64_t>(
+                  latency_percentile_reference(x, 50.0)));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(stats::quantile(x, 0.95)),
+              std::bit_cast<std::uint64_t>(
+                  latency_percentile_reference(x, 95.0)));
+  }
 }
 
 TEST(Stats, QuantileUnsortedInput) {

@@ -128,20 +128,26 @@ std::vector<MilpCase> milp_cases() {
   return cases;
 }
 
+/// Appends every field of `w`, named, to `fields`.
+void add_work_fields(Fields& fields, const milp::SolveWork& w) {
+  const auto n = [](std::size_t v) { return static_cast<double>(v); };
+  fields.insert(fields.end(),
+                {{"nodes_explored", n(w.nodes_explored)},
+                 {"lp_iterations", n(w.lp_iterations)},
+                 {"lp_failures_recovered", n(w.lp_failures_recovered)},
+                 {"warm_started_nodes", n(w.warm_started_nodes)},
+                 {"cold_solved_nodes", n(w.cold_solved_nodes)},
+                 {"cuts_added", n(w.cuts_added)},
+                 {"refactorizations", n(w.factor.refactorizations)},
+                 {"eta_updates", n(w.factor.eta_updates)},
+                 {"fill_ratio_sum", w.factor.fill_ratio_sum}});
+}
+
 Fields mip_fields(const milp::MipResult& r) {
-  return {{"status", static_cast<double>(r.status)},
-          {"objective", r.objective},
-          {"nodes_explored", static_cast<double>(r.nodes_explored)},
-          {"lp_iterations", static_cast<double>(r.lp_iterations)},
-          {"lp_failures_recovered",
-           static_cast<double>(r.lp_failures_recovered)},
-          {"warm_started_nodes", static_cast<double>(r.warm_started_nodes)},
-          {"cold_solved_nodes", static_cast<double>(r.cold_solved_nodes)},
-          {"cuts_added", static_cast<double>(r.cuts_added)},
-          {"refactorizations",
-           static_cast<double>(r.factor_stats.refactorizations)},
-          {"eta_updates", static_cast<double>(r.factor_stats.eta_updates)},
-          {"fill_ratio_sum", r.factor_stats.fill_ratio_sum}};
+  Fields fields = {{"status", static_cast<double>(r.status)},
+                   {"objective", r.objective}};
+  add_work_fields(fields, r.work);
+  return fields;
 }
 
 TEST(TelemetryConcurrent, OverlappingMilpSolvesCountOnlyTheirOwnWork) {
@@ -150,12 +156,12 @@ TEST(TelemetryConcurrent, OverlappingMilpSolvesCountOnlyTheirOwnWork) {
     serial.push_back(milp::solve(c.model, c.options));
   // The cases exercise every counter, and the jobs=2 tree is one node.
   ASSERT_EQ(serial.size(), 8u);
-  EXPECT_EQ(serial[4].lp_failures_recovered, 1u);
-  EXPECT_GT(serial[5].cuts_added + serial[6].cuts_added, 0u);
-  EXPECT_EQ(serial[7].nodes_explored, 1u);
+  EXPECT_EQ(serial[4].work.lp_failures_recovered, 1u);
+  EXPECT_GT(serial[5].work.cuts_added + serial[6].work.cuts_added, 0u);
+  EXPECT_EQ(serial[7].work.nodes_explored, 1u);
   for (const milp::MipResult& r : serial) {
     ASSERT_EQ(r.status, milp::MipStatus::Optimal);
-    EXPECT_GT(r.factor_stats.refactorizations, 0u);
+    EXPECT_GT(r.work.factor.refactorizations, 0u);
   }
 
   for (int round = 0; round < kRounds; ++round) {
@@ -256,37 +262,42 @@ std::vector<SimCase> sim_cases() {
 }
 
 Fields sim_fields(const core::SimulationResult& r) {
+  using core::FallbackAction;
+  using core::FallbackReason;
+  using core::RevocationRecovery;
+  using market::RevocationKind;
   const auto n = [](std::size_t v) { return static_cast<double>(v); };
-  return {{"total_cost", r.total_cost()},
-          {"out_of_bid_events", n(r.out_of_bid_events)},
-          {"rentals", n(r.rentals)},
-          {"fallbacks", n(r.fallbacks.size())},
-          {"price_faults", n(r.price_faults.size())},
-          {"replan_timeouts", n(r.replan_timeouts)},
-          {"replan_numerical_failures", n(r.replan_numerical_failures)},
-          {"replans_rejected", n(r.replans_rejected)},
-          {"fallback_reused_tail", n(r.fallback_reused_tail)},
-          {"fallback_heuristic", n(r.fallback_heuristic)},
-          {"fallback_on_demand", n(r.fallback_on_demand)},
-          {"solver_nodes_explored", n(r.solver_nodes_explored)},
-          {"solver_warm_started_nodes", n(r.solver_warm_started_nodes)},
-          {"solver_cold_solved_nodes", n(r.solver_cold_solved_nodes)},
-          {"solver_cuts_added", n(r.solver_cuts_added)},
-          {"replans", n(r.replan_seconds.size())},
-          {"model_refreshes", n(r.model_refreshes)},
-          {"sarima_refits_kept", n(r.sarima_refits_kept)},
-          {"sarima_warm_refits", n(r.sarima_warm_refits)},
-          {"sarima_scratch_refits", n(r.sarima_scratch_refits)},
-          {"tree_repairs", n(r.tree_repairs)},
-          {"tree_rebuilds", n(r.tree_rebuilds)},
-          {"revocations", n(r.revocations.size())},
-          {"migrations", n(r.migrations.size())},
-          {"revoked_bid_cross", n(r.revoked_bid_cross)},
-          {"revoked_hazard", n(r.revoked_hazard)},
-          {"revoked_storm", n(r.revoked_storm)},
-          {"recovered_spot", n(r.recovered_spot)},
-          {"recovered_migration", n(r.recovered_migration)},
-          {"recovered_on_demand", n(r.recovered_on_demand)}};
+  Fields fields = {
+      {"total_cost", r.total_cost()},
+      {"out_of_bid_events", n(r.out_of_bid_events())},
+      {"rentals", n(r.rentals())},
+      {"fallbacks", n(r.fallbacks.size())},
+      {"price_faults", n(r.price_faults.size())},
+      {"replan_timeouts", n(r.count(FallbackReason::SolverTimeout))},
+      {"replan_numerical_failures",
+       n(r.count(FallbackReason::NumericalFailure))},
+      {"replans_rejected", n(r.count(FallbackReason::PlanRejected))},
+      {"fallback_reused_tail", n(r.count(FallbackAction::ReusedPlanTail))},
+      {"fallback_heuristic", n(r.count(FallbackAction::HeuristicPlan))},
+      {"fallback_on_demand", n(r.count(FallbackAction::OnDemand))},
+      {"replans", n(r.replan_seconds.size())},
+      {"model_refreshes", n(r.model_refreshes)},
+      {"sarima_refits_kept", n(r.sarima_refits_kept)},
+      {"sarima_warm_refits", n(r.sarima_warm_refits)},
+      {"sarima_scratch_refits", n(r.sarima_scratch_refits)},
+      {"tree_repairs", n(r.tree_repairs)},
+      {"tree_rebuilds", n(r.tree_rebuilds)},
+      {"revocations", n(r.revocations.size())},
+      {"migrations", n(r.migrations.size())},
+      {"revoked_bid_cross", n(r.count(RevocationKind::BidCross))},
+      {"revoked_hazard", n(r.count(RevocationKind::Hazard))},
+      {"revoked_storm", n(r.count(RevocationKind::Storm))},
+      {"recovered_spot", n(r.count(RevocationRecovery::ReacquiredSpot))},
+      {"recovered_migration", n(r.count(RevocationRecovery::MigratedType))},
+      {"recovered_on_demand",
+       n(r.count(RevocationRecovery::OnDemandBackstop))}};
+  add_work_fields(fields, r.solver);
+  return fields;
 }
 
 TEST(TelemetryConcurrent, OverlappingSimulationsCountOnlyTheirOwnWork) {
@@ -296,12 +307,15 @@ TEST(TelemetryConcurrent, OverlappingSimulationsCountOnlyTheirOwnWork) {
         core::simulate_policy(c.inputs, c.policy, c.injector.get()));
   // The faulted runs degrade, and the MILP runs count solver work.
   ASSERT_EQ(serial.size(), 6u);
-  EXPECT_EQ(serial[0].replan_timeouts, kHorizon / 2);
-  EXPECT_EQ(serial[0].replan_numerical_failures, kHorizon / 2);
-  EXPECT_GT(serial[1].replan_timeouts, 0u);
-  EXPECT_GT(serial[2].fallback_heuristic + serial[2].fallback_reused_tail,
+  using core::FallbackAction;
+  using core::FallbackReason;
+  EXPECT_EQ(serial[0].count(FallbackReason::SolverTimeout), kHorizon / 2);
+  EXPECT_EQ(serial[0].count(FallbackReason::NumericalFailure), kHorizon / 2);
+  EXPECT_GT(serial[1].count(FallbackReason::SolverTimeout), 0u);
+  EXPECT_GT(serial[2].count(FallbackAction::HeuristicPlan) +
+                serial[2].count(FallbackAction::ReusedPlanTail),
             0u);
-  EXPECT_GT(serial[3].solver_nodes_explored, 0u);
+  EXPECT_GT(serial[3].solver.nodes_explored, 0u);
   EXPECT_EQ(serial[3].degraded_replans(), 0u);
 
   for (int round = 0; round < kRounds; ++round) {

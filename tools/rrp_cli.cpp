@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -267,12 +268,13 @@ int cmd_plan(const Args& args) {
             << Table::pct(1.0 - plan.cost.total() / naive.cost.total())
             << ")\n";
   if (solver_name == "milp") {
+    const milp::SolveWork& work = plan.work;
     const std::size_t total_lps =
-        plan.warm_started_nodes + plan.cold_solved_nodes;
-    std::cout << "b&b nodes " << plan.nodes_explored << ", warm-started LPs "
-              << plan.warm_started_nodes << "/" << total_lps;
-    if (plan.cuts_added > 0) {
-      std::cout << ", root cuts " << plan.cuts_added << " (gap closed "
+        work.warm_started_nodes + work.cold_solved_nodes;
+    std::cout << "b&b nodes " << work.nodes_explored << ", warm-started LPs "
+              << work.warm_started_nodes << "/" << total_lps;
+    if (work.cuts_added > 0) {
+      std::cout << ", root cuts " << work.cuts_added << " (gap closed "
                 << Table::pct(plan.root_gap_closed) << ")";
     }
     std::cout << "\n";
@@ -450,43 +452,50 @@ int cmd_simulate(const Args& args) {
   table.add_row({"ideal-case cost", Table::num(ideal, 3)});
   table.add_row({"overpay", Table::pct(core::overpay_fraction(
                                 result.total_cost(), ideal))});
-  table.add_row({"rentals", std::to_string(result.rentals)});
+  table.add_row({"rentals", std::to_string(result.rentals())});
   table.add_row({"out-of-bid events",
-                 std::to_string(result.out_of_bid_events)});
+                 std::to_string(result.out_of_bid_events())});
   table.add_row({"compute", Table::num(result.cost.compute, 3)});
   table.add_row({"I/O+storage", Table::num(result.cost.holding, 3)});
   table.add_row({"transfer", Table::num(result.cost.transfer(), 3)});
   table.add_row({"solver jobs",
                  jobs == 0 ? "auto" : std::to_string(jobs)});
-  if (result.solver_nodes_explored > 0) {
+  const milp::SolveWork& work = result.solver;
+  if (work.nodes_explored > 0) {
     table.add_row({"b&b nodes explored",
-                   std::to_string(result.solver_nodes_explored)});
-    const std::size_t total_lps = result.solver_warm_started_nodes +
-                                  result.solver_cold_solved_nodes;
+                   std::to_string(work.nodes_explored)});
+    const std::size_t total_lps =
+        work.warm_started_nodes + work.cold_solved_nodes;
     if (total_lps > 0)
       table.add_row(
           {"warm-started LPs",
-           Table::pct(static_cast<double>(result.solver_warm_started_nodes) /
+           Table::pct(static_cast<double>(work.warm_started_nodes) /
                       static_cast<double>(total_lps))});
-    if (result.solver_cuts_added > 0)
-      table.add_row({"root cuts added",
-                     std::to_string(result.solver_cuts_added)});
+    if (work.cuts_added > 0)
+      table.add_row({"root cuts added", std::to_string(work.cuts_added)});
   }
   table.add_row({"degraded re-plans",
                  std::to_string(result.degraded_replans())});
   if (result.degraded_replans() > 0) {
-    table.add_row({"  re-plan timeouts",
-                   std::to_string(result.replan_timeouts)});
-    table.add_row({"  numerical failures",
-                   std::to_string(result.replan_numerical_failures)});
-    table.add_row({"  plans rejected",
-                   std::to_string(result.replans_rejected)});
-    table.add_row({"  served by plan tail",
-                   std::to_string(result.fallback_reused_tail)});
-    table.add_row({"  served by heuristic",
-                   std::to_string(result.fallback_heuristic)});
+    using core::FallbackAction;
+    using core::FallbackReason;
+    table.add_row(
+        {"  re-plan timeouts",
+         std::to_string(result.count(FallbackReason::SolverTimeout))});
+    table.add_row(
+        {"  numerical failures",
+         std::to_string(result.count(FallbackReason::NumericalFailure))});
+    table.add_row(
+        {"  plans rejected",
+         std::to_string(result.count(FallbackReason::PlanRejected))});
+    table.add_row(
+        {"  served by plan tail",
+         std::to_string(result.count(FallbackAction::ReusedPlanTail))});
+    table.add_row(
+        {"  served by heuristic",
+         std::to_string(result.count(FallbackAction::HeuristicPlan))});
     table.add_row({"  served on demand",
-                   std::to_string(result.fallback_on_demand)});
+                   std::to_string(result.count(FallbackAction::OnDemand))});
   }
   if (!result.price_faults.empty())
     table.add_row({"price-feed faults",
@@ -498,12 +507,10 @@ int cmd_simulate(const Args& args) {
                    std::to_string(result.replan_seconds.size())});
     table.add_row(
         {"re-plan latency p50 (ms)",
-         Table::num(core::latency_percentile(result.replan_seconds, 50.0) *
-                        1e3, 3)});
+         Table::num(stats::quantile(result.replan_seconds, 0.50) * 1e3, 3)});
     table.add_row(
         {"re-plan latency p95 (ms)",
-         Table::num(core::latency_percentile(result.replan_seconds, 95.0) *
-                        1e3, 3)});
+         Table::num(stats::quantile(result.replan_seconds, 0.95) * 1e3, 3)});
     if (result.model_refreshes > 0) {
       table.add_row({"model refreshes (" + std::string(core::to_string(
                          policy.replan_mode)) + ")",
@@ -526,17 +533,24 @@ int cmd_simulate(const Args& args) {
   if (in.revocation.enabled || result.revoked_slots() > 0) {
     table.add_row({"revoked slots",
                    std::to_string(result.revoked_slots())});
+    using core::RevocationRecovery;
+    using market::RevocationKind;
     table.add_row({"  bid-cross",
-                   std::to_string(result.revoked_bid_cross)});
-    table.add_row({"  hazard", std::to_string(result.revoked_hazard)});
-    table.add_row({"  storm", std::to_string(result.revoked_storm)});
-    table.add_row({"  re-acquired spot",
-                   std::to_string(result.recovered_spot)});
-    table.add_row({"  migrated type",
-                   std::to_string(result.recovered_migration)});
-    table.add_row({"  on-demand backstop",
-                   std::to_string(result.recovered_on_demand)});
-    table.add_row({"work lost (slots)", Table::num(result.work_lost, 2)});
+                   std::to_string(result.count(RevocationKind::BidCross))});
+    table.add_row({"  hazard",
+                   std::to_string(result.count(RevocationKind::Hazard))});
+    table.add_row({"  storm",
+                   std::to_string(result.count(RevocationKind::Storm))});
+    table.add_row(
+        {"  re-acquired spot",
+         std::to_string(result.count(RevocationRecovery::ReacquiredSpot))});
+    table.add_row(
+        {"  migrated type",
+         std::to_string(result.count(RevocationRecovery::MigratedType))});
+    table.add_row(
+        {"  on-demand backstop",
+         std::to_string(result.count(RevocationRecovery::OnDemandBackstop))});
+    table.add_row({"work lost (slots)", Table::num(result.work_lost(), 2)});
     table.add_row({"checkpoint overhead",
                    Table::num(result.checkpoint_overhead_cost, 3)});
     table.add_row({"interruption cost",
