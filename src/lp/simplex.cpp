@@ -57,10 +57,13 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
     ub_[j] = lp.variable(j).hi;
     obj_[j] = lp.variable(j).objective;
   }
+  row_start_.assign(1, 0);
   for (std::size_t r = 0; r < m_; ++r) {
     for (const Entry& e : lp.row(r).entries) {
       cols_[e.col].push_back(Entry{r, e.coeff});
+      rows_.push_back(e);
     }
+    row_start_.push_back(rows_.size());
     // Slack: a'x - s = 0, s in [row.lo, row.hi].
     const std::size_t s = n_ + r;
     cols_[s].push_back(Entry{r, -1.0});
@@ -77,6 +80,8 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
   rho_.resize(m_);
   rhs_.resize(m_);
   cost_.assign(total_, 0.0);
+  d_.assign(total_, 0.0);
+  alpha_dense_.assign(n_, 0.0);
 }
 
 void SimplexSolver::set_variable_bounds(std::size_t j, double lo, double hi) {
@@ -98,7 +103,9 @@ void SimplexSolver::add_row(const Row& row) {
   for (const Entry& e : row.entries) {
     RRP_EXPECTS(e.col < n_);
     cols_[e.col].push_back(Entry{r, e.coeff});
+    rows_.push_back(e);
   }
+  row_start_.push_back(rows_.size());
   // The new slack takes index n_ + r, after every existing column, and
   // enters the basis at the new position r: the extended basis is block
   // triangular, so it stays nonsingular, and every reduced cost is
@@ -125,6 +132,7 @@ void SimplexSolver::add_row(const Row& row) {
   for (std::vector<double>* v : {&xb_, &w_, &y_, &rho_, &rhs_})
     v->resize(m_);
   cost_.push_back(0.0);
+  d_.push_back(0.0);
 }
 
 void SimplexSolver::ftran(std::size_t j) const {
@@ -145,6 +153,44 @@ double SimplexSolver::reduced_cost(std::size_t j,
   double d = cost[j];
   for (const Entry& e : cols_[j]) d -= y_[e.col] * e.coeff;
   return d;
+}
+
+void SimplexSolver::price_nonbasic(const std::vector<double>& cost) {
+  compute_duals(cost);
+  for (std::size_t j = 0; j < total_; ++j)
+    d_[j] = status_[j] == BasisStatus::Basic ? 0.0 : reduced_cost(j, cost);
+}
+
+void SimplexSolver::form_pivot_row() {
+  // alpha_j = rho' A_j over rho's nonzeros: each structural alpha sums
+  // rho_i * a_ij over i ascending, the order of its column in cols_, so
+  // it is the same double a column scan gives.  A slack's column is
+  // -e_i, so its alpha is -rho_i.  alpha_dense_ is all +0.0 between
+  // calls; a column enters alpha_cols_ again when its sum cancels to
+  // zero, which the sort + unique folds away.
+  alpha_cols_.clear();
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double rho_i = rho_[i];
+    if (rho_i == 0.0) continue;
+    for (std::size_t k = row_start_[i]; k < row_start_[i + 1]; ++k) {
+      const std::size_t j = rows_[k].col;
+      if (status_[j] == BasisStatus::Basic) continue;
+      if (alpha_dense_[j] == 0.0) alpha_cols_.push_back(j);
+      alpha_dense_[j] += rho_i * rows_[k].coeff;
+    }
+  }
+  std::sort(alpha_cols_.begin(), alpha_cols_.end());
+  alpha_cols_.erase(std::unique(alpha_cols_.begin(), alpha_cols_.end()),
+                    alpha_cols_.end());
+  alpha_row_.clear();
+  for (std::size_t j : alpha_cols_) {
+    alpha_row_.push_back(Entry{j, alpha_dense_[j]});
+    alpha_dense_[j] = 0.0;
+  }
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (rho_[i] != 0.0 && status_[n_ + i] != BasisStatus::Basic)
+      alpha_row_.push_back(Entry{n_ + i, -rho_[i]});
+  }
 }
 
 void SimplexSolver::refactorize() {
@@ -270,6 +316,28 @@ void SimplexSolver::check_optimality(const std::vector<double>& cost) const {
       case BasisStatus::Basic:
         break;
     }
+  }
+#else
+  (void)cost;
+#endif
+}
+
+void SimplexSolver::check_reduced_costs(const std::vector<double>& cost)
+    const {
+#if RRP_INVARIANTS_ENABLED
+  // run_dual's updated d_ against reduced costs priced afresh through
+  // the current factor.
+  double cscale = 0.0;
+  for (double c : cost) cscale = std::max(cscale, std::fabs(c));
+  const double tol = 1e-9 * (1.0 + cscale);
+  compute_duals(cost);
+  for (std::size_t j = 0; j < total_; ++j) {
+    if (status_[j] == BasisStatus::Basic) continue;
+    const double fresh = reduced_cost(j, cost);
+    RRP_INVARIANT_MSG(std::fabs(d_[j] - fresh) <= tol,
+                      "updated reduced cost of " + std::to_string(j) + " is " +
+                          std::to_string(d_[j]) + ", priced afresh " +
+                          std::to_string(fresh));
   }
 #else
   (void)cost;
@@ -437,11 +505,23 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
   // Bland's rule (requested, or after stall_limit pivots without dual
   // progress) both choices take the least variable index instead, which
   // keeps fully degenerate runs finite.
+  //
+  // d_ holds every nonbasic reduced cost, priced from one BTRAN of c_B
+  // at the first pivot of a run and at the first one after a
+  // refactorisation; every other pivot updates it from the pivot row
+  // alpha_r the ratio test forms anyway (y moves by theta_D * rho, so
+  // d_j drops by theta_D * alpha_rj), which leaves one BTRAN per pivot:
+  // rho itself.
+  bool priced = false;
   const bool pinned_bland = bland || opt_->pricing == Pricing::Bland;
   bool use_bland = pinned_bland;
   std::size_t stall = 0;
+  const auto done = [&](DualResult result) {
+    if (priced) check_reduced_costs(cost);
+    return result;
+  };
   for (std::size_t iter = 0; iter < max_iters; ++iter, ++iterations_) {
-    if (opt_->deadline.expired()) return DualResult::TimeLimit;
+    if (opt_->deadline.expired()) return done(DualResult::TimeLimit);
     RRP_COUNTER_ADD("rrp.lp.pivots.dual", 1);
 
     // --- Leaving row: most violated (or least-index) basic variable. ---
@@ -463,28 +543,32 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
         below = under > over;
       }
     }
-    if (r == m_) return DualResult::Feasible;
+    if (r == m_) return done(DualResult::Feasible);
 
     const std::size_t leave = basis_[r];
     const double target = below ? lb_[leave] : ub_[leave];
     const double sigma = below ? +1.0 : -1.0;  // required sign of d xb_r
-    compute_duals(cost);
+    if (!priced) {
+      price_nonbasic(cost);
+      priced = true;
+    }
     // Row r of the basis inverse: BTRAN of the r-th unit vector.
     std::fill(rho_.begin(), rho_.end(), 0.0);
     rho_[r] = 1.0;
     lu_.btran(rho_);
+    form_pivot_row();
 
-    // --- Entering column: dual ratio test over eligible nonbasics. ---
+    // --- Entering column: dual ratio test over the nonbasics with a
+    // nonzero in the pivot row, in ascending index order. ---
     std::size_t enter = total_;
     int enter_dir = 0;
     double enter_alpha = 0.0;
     double best_ratio = kInfinity;
-    for (std::size_t j = 0; j < total_; ++j) {
-      if (status_[j] == BasisStatus::Basic) continue;
+    for (const Entry& a : alpha_row_) {
+      const std::size_t j = a.col;
       if (lb_[j] == ub_[j])  // rrp-lint: allow(float-equality)
         continue;  // fixed: can never move
-      double alpha = 0.0;
-      for (const Entry& e : cols_[j]) alpha += rho_[e.col] * e.coeff;
+      const double alpha = a.coeff;
       if (std::fabs(alpha) <= kPivotTol) continue;
       int dir = 0;
       switch (status_[j]) {
@@ -498,8 +582,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       // Moving x_j by dir changes xb_r by -alpha*dir; require the move
       // to push xb_r toward its violated bound.
       if (sigma * alpha * static_cast<double>(dir) >= 0.0) continue;
-      const double d = reduced_cost(j, cost);
-      const double ratio = std::fabs(d) / std::fabs(alpha);
+      const double ratio = std::fabs(d_[j]) / std::fabs(alpha);
       // Near-ties keep the larger pivot element for stability, or the
       // least index (the first one seen) under Bland's rule.
       if (ratio < best_ratio - 1e-12 ||
@@ -511,9 +594,10 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
         enter_alpha = alpha;
       }
     }
-    if (enter == total_) return DualResult::Infeasible;
+    if (enter == total_) return done(DualResult::Infeasible);
 
     // --- Pivot: land xb_r exactly on its violated bound. ---
+    const std::size_t refactorizations = factor_stats_.refactorizations;
     ftran(enter);
     // Accuracy trigger: the FTRAN pivot and the BTRAN-derived alpha are
     // the same number through exact arithmetic; disagreement means the
@@ -544,6 +628,18 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
         lu_.eta_nonzeros() > eta_nnz_cap_)
       refactorize();
 
+    // --- Reduced costs: updated over the pivot row's nonzeros, else
+    // priced afresh at the next pivot (through the fresh factor after a
+    // refactorisation). ---
+    if (factor_stats_.refactorizations == refactorizations) {
+      const double theta = d_[enter] / enter_alpha;
+      for (const Entry& a : alpha_row_) d_[a.col] -= theta * a.coeff;
+      d_[enter] = 0.0;
+      d_[leave] = -theta;
+    } else {
+      priced = false;
+    }
+
     // --- Stall detection -> Bland fallback.  The dual objective rises
     // by best_ratio times the leaving row's violation, so a zero ratio
     // is a dual-degenerate pivot. ---
@@ -554,7 +650,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       use_bland = true;
     }
   }
-  return DualResult::IterationLimit;
+  return done(DualResult::IterationLimit);
 }
 
 const std::vector<double>& SimplexSolver::model_cost() {
@@ -666,7 +762,10 @@ Solution SimplexSolver::cold_solve() {
     const std::vector<double> zero(total_, 0.0);
     dres = run_dual(zero, opt_->max_iterations, true);
   }
-  if (dres == DualResult::Infeasible) return stopped(SolveStatus::Infeasible);
+  if (dres == DualResult::Infeasible) {
+    factor_current_ = true;  // run_dual stops before the pivot
+    return stopped(SolveStatus::Infeasible);
+  }
   if (dres == DualResult::IterationLimit)
     return stopped(SolveStatus::IterationLimit);
   if (dres == DualResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
@@ -828,8 +927,9 @@ Solution SimplexSolver::solve(const SimplexOptions& options) {
 
 Solution SimplexSolver::solve_from(const Basis& start,
                                    const SimplexOptions& options) {
-  // Only a solve that ends Optimal sets factor_current_ again, so a stop
-  // on a limit or a throw anywhere below leaves the factor unusable.
+  // Only a solve that ends Optimal or Infeasible sets factor_current_
+  // again, so a stop on a limit or a throw anywhere below leaves the
+  // factor unusable.
   const bool factor_current = factor_current_;
   last_warm_ = false;
   last_optimal_ = false;
@@ -858,6 +958,8 @@ Solution SimplexSolver::solve_from(const Basis& start,
                                      false);
     if (dres == DualResult::TimeLimit) return stopped(SolveStatus::TimeLimit);
     if (dres == DualResult::IterationLimit) return cold_solve();
+    if (dres == DualResult::Infeasible)
+      factor_current_ = true;  // run_dual stops before the pivot
     Solution sol = dres == DualResult::Infeasible
                        ? stopped(SolveStatus::Infeasible)
                        : finish_primal();

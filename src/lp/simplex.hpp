@@ -14,6 +14,20 @@
 // during stalls (or throughout under Pricing::Bland) to guarantee
 // finiteness under degeneracy.
 //
+// A dual pivot costs one BTRAN (the pivot row rho of the basis
+// inverse), one FTRAN (the entering column) and work proportional to
+// their nonzeros.  The nonbasic reduced costs are kept and updated from
+// the pivot row, d_j -= theta_D * alpha_rj; a BTRAN of c_B prices them
+// afresh only at the first pivot of a dual run and at the first pivot
+// after a refactorisation.  The pivot row alpha_r = rho' A_N is formed
+// from a row-major copy of A over rho's nonzeros, and the ratio test
+// and the update walk only its nonzeros, in ascending column order.
+// Each alpha is the same double a scan over every column gives; the
+// updated reduced costs can differ from fresh pricing in the last bits,
+// and the ratio test breaks near-ties within an absolute 1e-12, so the
+// pivot sequence of the full-pricing scan is kept on the measured
+// workloads but is not guaranteed.
+//
 // The basis is held as a sparse LU factorisation (lp::SparseLu) with
 // product-form eta updates per pivot; FTRAN/BTRAN are sparse triangular
 // solves.  The factor and its eta file live across solves.  A fresh
@@ -41,8 +55,9 @@
 // positions differ, no order avoids a too-small pivot (a singular
 // intermediate basis), a cap would be crossed, or the factor is not
 // known to match the current basis — it is known only after a solve
-// that ended Optimal, and any stop on a limit, infeasibility or throw
-// forgets it.
+// that ended Optimal or Infeasible (the dual simplex proves
+// infeasibility before pivoting, so its factor still matches), and any
+// stop on a limit or a throw forgets it.
 //
 // Two entry points share that engine:
 //
@@ -274,10 +289,16 @@ class SimplexSolver {
   bool basic_values_accurate() const;
   void compute_duals(const std::vector<double>& cost) const;  ///< into y_
   double reduced_cost(std::size_t j, const std::vector<double>& cost) const;
+  /// d_ for every nonbasic column from one BTRAN of c_B (0 for basics).
+  void price_nonbasic(const std::vector<double>& cost);
+  /// alpha_row_ = the nonbasic nonzeros of rho' [A -I], from rho_.
+  void form_pivot_row();
   void ftran(std::size_t j) const;  ///< Binv * A_j into w_
   double current_objective(const std::vector<double>& cost) const;
   void check_basis() const;
   void check_optimality(const std::vector<double>& cost) const;
+  /// Invariant builds: d_ matches reduced costs priced afresh.
+  void check_reduced_costs(const std::vector<double>& cost) const;
 
   // Problem data (bounds/objective mutable via setters).
   std::size_t m_ = 0;      ///< rows
@@ -285,6 +306,10 @@ class SimplexSolver {
   std::size_t total_ = 0;  ///< structural + slack
   Sense sense_ = Sense::Minimize;
   std::vector<std::vector<Entry>> cols_;  ///< column-sparse A (row indices)
+  /// Row-major copy of the structural part of A: row i's entries
+  /// (structural column, coeff) are rows_[row_start_[i], row_start_[i+1]).
+  std::vector<Entry> rows_;
+  std::vector<std::size_t> row_start_;
   std::vector<double> lb_, ub_;
   std::vector<double> obj_;  ///< structural objective coefficients
 
@@ -303,7 +328,7 @@ class SimplexSolver {
   bool last_optimal_ = false;
   bool last_warm_ = false;
   /// lu_ (with its eta file) factorises basis_.  Set only when a solve
-  /// ends Optimal; cleared on entry to every solve.
+  /// ends Optimal or Infeasible; cleared on entry to every solve.
   bool factor_current_ = false;
   const SimplexOptions* opt_ = nullptr;  ///< options of the active solve
 
@@ -311,6 +336,12 @@ class SimplexSolver {
   mutable std::vector<double> w_;  ///< ftran result
   mutable std::vector<double> y_;  ///< duals
   std::vector<double> rho_;        ///< btran of a unit vector (dual row)
+  std::vector<double> d_;          ///< run_dual's nonbasic reduced costs
+  /// The dual pivot row: (column, alpha) for each nonbasic column with a
+  /// nonzero in rho' [A -I], in ascending column order.
+  std::vector<Entry> alpha_row_;
+  std::vector<double> alpha_dense_;  ///< form_pivot_row() scratch, all +0.0
+  std::vector<std::size_t> alpha_cols_;
   std::vector<double> rhs_;
   std::vector<double> cost_;       ///< model cost cache (min sense)
   // replace_columns() scratch: differing positions, their FTRANed columns.

@@ -55,24 +55,46 @@ void SparseLu::factorize(std::size_t m,
 
   // Left-looking elimination over a dense scratch column.  `touched`
   // tracks every row written so the scratch is re-zeroed in O(nnz).
+  // A write that makes a pivoted row nonzero marks its step
+  // (`reached[s] = k`), and [lo, hi) bounds the steps marked for the
+  // current column k.
   std::vector<std::size_t> touched;
   touched.reserve(m);
+  std::vector<std::size_t> reached(m, m);
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+  const auto write = [&](std::size_t k, std::size_t r) {
+    if (work_[r] != 0.0) return;
+    touched.push_back(r);
+    const std::size_t s = step_of_row_[r];
+    if (s == m) return;
+    reached[s] = k;
+    lo = std::min(lo, s);
+    hi = std::max(hi, s + 1);
+  };
   factor_nnz_ = 0;
   for (std::size_t k = 0; k < m; ++k) {
     const std::size_t pos = order[k];
     touched.clear();
+    lo = m;
+    hi = 0;
     for (const Entry& e : cols[basis[pos]]) {
-      if (work_[e.col] == 0.0) touched.push_back(e.col);
+      write(k, e.col);
       work_[e.col] += e.coeff;
     }
-    // Apply the first k elimination steps in order; L multipliers still
-    // reference original rows at this point.
-    for (std::size_t s = 0; s < k; ++s) {
+    // Apply the reached elimination steps in ascending order; L
+    // multipliers still reference original rows at this point.  Step s
+    // only writes rows pivoted after s, so the steps it reaches lie
+    // ahead of the scan (which follows hi), and a step never reached
+    // has a zero pivot-row value: the arithmetic, and its order, is that
+    // of applying every step s < k with a nonzero value.
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (reached[s] != k) continue;
       const double val = work_[row_of_step_[s]];
       if (val == 0.0) continue;
       ucols_[k].push_back(Entry{s, val});
       for (const Entry& l : lcols_[s]) {
-        if (work_[l.col] == 0.0) touched.push_back(l.col);
+        write(k, l.col);
         work_[l.col] -= l.coeff * val;
       }
     }

@@ -13,7 +13,12 @@
 //     order and the pivot row is chosen among numerically eligible
 //     candidates (|v| >= tau * max) by the smallest static row count —
 //     a cheap Markowitz proxy that keeps fill-in near zero on
-//     staircase bases.
+//     staircase bases.  Each column applies only the earlier steps its
+//     nonzeros reach: a write into a pivoted row marks that row's step,
+//     and the column scans just the span of marked steps, in ascending
+//     order.  A column costs its own nonzeros and fill plus that span
+//     rather than every earlier step (the all-slack B = -I visits
+//     none), and L and U are the same doubles a full scan gives.
 //   * ftran()/btran() solve B x = b and B^T y = c by permuted sparse
 //     triangular solves, skipping structural zeros, then replay the
 //     product-form eta file.

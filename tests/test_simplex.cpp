@@ -758,6 +758,56 @@ TEST(SimplexFactorReuse, IterationLimitStopLeavesNoReusableFactor) {
       SolveStatus::IterationLimit);
 }
 
+TEST(SimplexFactorReuse, InfeasibleWarmSolveKeepsTheFactor) {
+  // A warm solve that ends Infeasible stops before its last pivot, so
+  // its factor still matches its basis: the next nearby start is
+  // installed by column replacement, with no refactorisation.
+  LinearProgram lp = reuse_lp();
+  SimplexSolver solver(lp);
+  const Solution first = solver.solve();
+  ASSERT_EQ(first.status, SolveStatus::Optimal);
+  const Basis parent = solver.basis();
+  // A fresh factor with an empty eta file, so no cap is near.
+  ASSERT_EQ(solver.refactored_solution().status, SolveStatus::Optimal);
+
+  // Pin one column of a row so high that the row's upper side cannot
+  // hold; the first such pin proven within m/8 pivots keeps the start
+  // nearby.
+  std::size_t col = lp.num_variables();
+  for (std::size_t r = 0; r < lp.num_rows() && col == lp.num_variables();
+       ++r) {
+    for (const Entry& e : lp.row(r).entries) {
+      const double fix = 2.0 * (lp.row(r).hi + 1.0) / e.coeff;
+      solver.set_variable_bounds(e.col, fix, fix);
+      const FactorizationStats before = solver.factor_stats();
+      const Solution infeasible = solver.solve_from(parent);
+      solver.set_variable_bounds(e.col, lp.variable(e.col).lo,
+                                 lp.variable(e.col).hi);
+      ASSERT_EQ(infeasible.status, SolveStatus::Infeasible);
+      EXPECT_TRUE(solver.last_solve_was_warm());
+      EXPECT_TRUE(solver.basis().empty());
+      if (solver.factor_stats().refactorizations == before.refactorizations &&
+          infeasible.iterations >= 1 &&
+          infeasible.iterations <= lp.num_rows() / 8) {
+        col = e.col;
+        break;
+      }
+      // Back to the parent's factor for the next candidate.
+      ASSERT_EQ(solver.solve_from(parent).status, SolveStatus::Optimal);
+      ASSERT_EQ(solver.refactored_solution().status, SolveStatus::Optimal);
+    }
+  }
+  ASSERT_LT(col, lp.num_variables()) << "no nearby infeasible pin in reuse_lp";
+
+  const FactorizationStats before = solver.factor_stats();
+  const Solution sol = solver.solve_from(parent);
+  EXPECT_TRUE(solver.last_solve_was_warm());
+  EXPECT_EQ(solver.factor_stats().refactorizations, before.refactorizations);
+  EXPECT_GT(solver.factor_stats().eta_updates, before.eta_updates);
+  EXPECT_EQ(sol.iterations, 0u);  // the parent is optimal again
+  expect_matches_cold(lp, sol);
+}
+
 TEST(SimplexFactorReuse, RefactorEveryOneRebuildsAfterEveryUpdate) {
   // Recovery rung 2 of the branch & bound ladder: refactor_every = 1
   // must still rebuild the factor after every eta update, on the cold

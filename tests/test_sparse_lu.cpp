@@ -4,7 +4,9 @@
 // shapes the simplex actually produces on DRRP/SRRP relaxations.
 #include "lp/sparse_lu.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -279,6 +281,212 @@ TEST(SparseLu, EmptyBasisIsTrivial) {
   lu.ftran(x);
   lu.btran(x);
   EXPECT_EQ(lu.eta_count(), 0u);
+}
+
+// The left-looking factorisation as it was before it learnt to visit
+// only the steps a column reaches: every earlier step s < k is checked
+// for each column k.  Kept frozen as the reference the sparse loop must
+// match bit for bit (no eta file: factorize, ftran and btran only).
+class DenseStepScanLu {
+ public:
+  void factorize(std::size_t m, const std::vector<std::vector<Entry>>& cols,
+                 const std::vector<std::size_t>& basis) {
+    m_ = m;
+    row_of_step_.assign(m, m);
+    col_of_step_.assign(m, m);
+    step_of_row_.assign(m, m);
+    lcols_.assign(m, {});
+    ucols_.assign(m, {});
+    udiag_.assign(m, 0.0);
+    work_.assign(m, 0.0);
+    std::vector<std::size_t> row_count(m, 0);
+    for (std::size_t pos = 0; pos < m; ++pos)
+      for (const Entry& e : cols[basis[pos]]) ++row_count[e.col];
+    std::vector<std::size_t> order(m);
+    for (std::size_t pos = 0; pos < m; ++pos) order[pos] = pos;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return cols[basis[a]].size() < cols[basis[b]].size();
+                     });
+    std::vector<std::size_t> touched;
+    factor_nnz_ = 0;
+    for (std::size_t k = 0; k < m; ++k) {
+      const std::size_t pos = order[k];
+      touched.clear();
+      for (const Entry& e : cols[basis[pos]]) {
+        if (work_[e.col] == 0.0) touched.push_back(e.col);
+        work_[e.col] += e.coeff;
+      }
+      for (std::size_t s = 0; s < k; ++s) {
+        const double val = work_[row_of_step_[s]];
+        if (val == 0.0) continue;
+        ucols_[k].push_back(Entry{s, val});
+        for (const Entry& l : lcols_[s]) {
+          if (work_[l.col] == 0.0) touched.push_back(l.col);
+          work_[l.col] -= l.coeff * val;
+        }
+      }
+      double vmax = 0.0;
+      for (std::size_t r : touched) {
+        if (step_of_row_[r] != m) continue;
+        vmax = std::max(vmax, std::fabs(work_[r]));
+      }
+      ASSERT_GE(vmax, 1e-12) << "reference: singular at step " << k;
+      const double eligible = 0.1 * vmax;
+      std::size_t prow = m;
+      for (std::size_t r : touched) {
+        if (step_of_row_[r] != m) continue;
+        const double v = std::fabs(work_[r]);
+        if (v < eligible || v < 1e-12) continue;
+        if (prow == m || row_count[r] < row_count[prow] ||
+            (row_count[r] == row_count[prow] &&
+             (v > std::fabs(work_[prow]) ||
+              (v == std::fabs(work_[prow]) && r < prow)))) {
+          prow = r;
+        }
+      }
+      const double diag = work_[prow];
+      row_of_step_[k] = prow;
+      step_of_row_[prow] = k;
+      col_of_step_[k] = pos;
+      udiag_[k] = diag;
+      for (std::size_t r : touched) {
+        const double v = work_[r];
+        work_[r] = 0.0;
+        if (r == prow || v == 0.0 || step_of_row_[r] != m) continue;
+        lcols_[k].push_back(Entry{r, v / diag});
+      }
+      factor_nnz_ += lcols_[k].size() + ucols_[k].size() + 1;
+    }
+    for (std::size_t k = 0; k < m; ++k)
+      for (Entry& l : lcols_[k]) l.col = step_of_row_[l.col];
+  }
+
+  void ftran(std::vector<double>& x) {
+    for (std::size_t k = 0; k < m_; ++k) work_[k] = x[row_of_step_[k]];
+    for (std::size_t k = 0; k < m_; ++k) {
+      const double v = work_[k];
+      if (v == 0.0) continue;
+      for (const Entry& l : lcols_[k]) work_[l.col] -= l.coeff * v;
+    }
+    for (std::size_t k = m_; k-- > 0;) {
+      double v = work_[k];
+      if (v == 0.0) continue;
+      v /= udiag_[k];
+      work_[k] = v;
+      for (const Entry& u : ucols_[k]) work_[u.col] -= u.coeff * v;
+    }
+    for (std::size_t k = 0; k < m_; ++k) x[col_of_step_[k]] = work_[k];
+  }
+
+  void btran(std::vector<double>& y) {
+    for (std::size_t k = 0; k < m_; ++k) work_[k] = y[col_of_step_[k]];
+    for (std::size_t k = 0; k < m_; ++k) {
+      double s = work_[k];
+      for (const Entry& u : ucols_[k]) s -= u.coeff * work_[u.col];
+      work_[k] = s / udiag_[k];
+    }
+    for (std::size_t k = m_; k-- > 0;) {
+      double s = work_[k];
+      for (const Entry& l : lcols_[k]) s -= l.coeff * work_[l.col];
+      work_[k] = s;
+    }
+    for (std::size_t k = 0; k < m_; ++k) y[row_of_step_[k]] = work_[k];
+  }
+
+  std::size_t factor_nonzeros() const { return factor_nnz_; }
+
+ private:
+  std::size_t m_ = 0;
+  std::vector<std::size_t> row_of_step_, col_of_step_, step_of_row_;
+  std::vector<std::vector<Entry>> lcols_, ucols_;
+  std::vector<double> udiag_, work_;
+  std::size_t factor_nnz_ = 0;
+};
+
+/// Random sparse basis with real elimination work: `extra` off-diagonal
+/// entries per column (some rows hit twice, so duplicates are summed)
+/// and the diagonal moved by a random row permutation.
+System tangled_system(std::size_t m, std::size_t extra, rrp::Rng& rng) {
+  System sys;
+  sys.m = m;
+  sys.cols.resize(m);
+  sys.basis.resize(m);
+  std::vector<std::size_t> perm(m);
+  for (std::size_t i = 0; i < m; ++i) perm[i] = i;
+  for (std::size_t i = m; i-- > 1;)
+    std::swap(perm[i], perm[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(i)))]);
+  for (std::size_t j = 0; j < m; ++j) {
+    sys.basis[j] = m - 1 - j;  // positions hold the columns reversed
+    sys.cols[j].push_back(Entry{perm[j], rng.uniform(0.5, 3.0)});
+    for (std::size_t k = 0; k < extra; ++k) {
+      const auto r = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(m) - 1));
+      sys.cols[j].push_back(Entry{r, rng.uniform(-1.0, 1.0)});
+    }
+  }
+  return sys;
+}
+
+/// -I over m rows: the all-slack basis of a cold simplex solve.
+System slack_system(std::size_t m) {
+  System sys;
+  sys.m = m;
+  sys.cols.resize(m);
+  sys.basis.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    sys.cols[i].push_back(Entry{i, -1.0});
+    sys.basis[i] = i;
+  }
+  return sys;
+}
+
+TEST(SparseLu, FactorMatchesTheDenseStepScan) {
+  rrp::Rng rng(20261019);
+  std::vector<System> systems;
+  for (std::size_t m : {1u, 3u, 12u, 40u, 90u}) {
+    systems.push_back(random_system(m, rng));
+    for (std::size_t extra : {1u, 3u, 6u})
+      systems.push_back(tangled_system(m, extra, rng));
+  }
+  systems.push_back(slack_system(1));
+  systems.push_back(slack_system(64));
+  systems.push_back(staircase_system(30));
+  systems.push_back(staircase_system(101));
+
+  std::size_t compared = 0;
+  std::size_t tangled_fill = 0;
+  for (const System& sys : systems) {
+    SparseLu lu;
+    DenseStepScanLu ref;
+    try {
+      lu.factorize(sys.m, sys.cols, sys.basis);
+    } catch (const rrp::NumericalError&) {
+      continue;  // a singular random draw; the reference is not asked
+    }
+    ++compared;
+    ref.factorize(sys.m, sys.cols, sys.basis);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    EXPECT_EQ(lu.factor_nonzeros(), ref.factor_nonzeros()) << "m " << sys.m;
+    if (lu.fill_ratio() > 1.0) ++tangled_fill;
+    for (int trial = 0; trial < 3; ++trial) {
+      const std::vector<double> rhs = random_vector(sys.m, rng);
+      std::vector<double> x = rhs, x_ref = rhs, y = rhs, y_ref = rhs;
+      lu.ftran(x);
+      ref.ftran(x_ref);
+      lu.btran(y);
+      ref.btran(y_ref);
+      for (std::size_t i = 0; i < sys.m; ++i) {
+        EXPECT_EQ(x[i], x_ref[i]) << "ftran, m " << sys.m << ", row " << i;
+        EXPECT_EQ(y[i], y_ref[i]) << "btran, m " << sys.m << ", row " << i;
+      }
+    }
+  }
+  // The draws must include bases that need elimination fill, or the
+  // comparison never exercises a reached step.
+  EXPECT_GE(compared + 2, systems.size());
+  EXPECT_GE(tangled_fill, 4u);
 }
 
 TEST(SparseLu, EtaNonzeroAccountingTracksUpdates) {
