@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/invariant.hpp"
 #include "milp/cuts.hpp"
+#include "obs/obs.hpp"
 
 namespace rrp::core {
 
@@ -341,7 +342,10 @@ void verify_policy_balance(const SrrpInstance& inst,
 SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
                                  const milp::BnbOptions& options) {
   SrrpVariables vars;
-  const milp::Model model = build_srrp(inst, &vars);
+  const milp::Model model = [&] {
+    RRP_TRACE_SPAN("core.build_model");
+    return build_srrp(inst, &vars);
+  }();
 
   // Each root-to-leaf path of the scenario tree is one single-item
   // lot-sizing chain (the (l,S) cuts only involve that scenario's
@@ -366,6 +370,7 @@ SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
   }
   const milp::MipResult result = milp::solve(model, opt);
 
+  RRP_TRACE_SPAN("core.extract_plan");
   SrrpPolicy policy;
   policy.status = result.status;
   policy.work = result.work;
@@ -391,9 +396,13 @@ SrrpPolicy solve_srrp_aggregated(const SrrpInstance& inst,
 SrrpPolicy solve_srrp_fl(const SrrpInstance& inst,
                          const milp::BnbOptions& options) {
   SrrpFlVariables vars;
-  const milp::Model model = build_srrp_facility_location(inst, &vars);
+  const milp::Model model = [&] {
+    RRP_TRACE_SPAN("core.build_model");
+    return build_srrp_facility_location(inst, &vars);
+  }();
   const milp::MipResult result = milp::solve(model, options);
 
+  RRP_TRACE_SPAN("core.extract_plan");
   SrrpPolicy policy;
   policy.status = result.status;
   policy.work = result.work;

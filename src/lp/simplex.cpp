@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,6 +80,7 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
   y_.resize(m_);
   rho_.resize(m_);
   rhs_.resize(m_);
+  resid_.resize(m_);
   cost_.assign(total_, 0.0);
   d_.assign(total_, 0.0);
   alpha_dense_.assign(n_, 0.0);
@@ -129,7 +131,7 @@ void SimplexSolver::add_row(const Row& row) {
   basis_.push_back(n_ + r);
   ++m_;
   ++total_;
-  for (std::vector<double>* v : {&xb_, &w_, &y_, &rho_, &rhs_})
+  for (std::vector<double>* v : {&xb_, &w_, &y_, &rho_, &rhs_, &resid_})
     v->resize(m_);
   cost_.push_back(0.0);
   d_.push_back(0.0);
@@ -137,15 +139,20 @@ void SimplexSolver::add_row(const Row& row) {
 
 void SimplexSolver::ftran(std::size_t j) const {
   // w = Binv * A_j, via the sparse solve B w = A_j.
-  std::fill(w_.begin(), w_.end(), 0.0);
-  for (const Entry& e : cols_[j]) w_[e.col] += e.coeff;
-  lu_.ftran(w_);
+  for (std::size_t i : w_nz_) w_[i] = 0.0;
+  w_nz_.clear();
+  for (const Entry& e : cols_[j]) {
+    w_[e.col] += e.coeff;
+    w_nz_.push_back(e.col);
+  }
+  lu_.ftran(w_, w_nz_);
 }
 
 void SimplexSolver::compute_duals(const std::vector<double>& cost) const {
   // y = c_B^T * Binv, via the sparse solve B^T y = c_B.
   for (std::size_t i = 0; i < m_; ++i) y_[i] = cost[basis_[i]];
-  lu_.btran(y_);
+  list_nonzeros(y_, y_nz_);
+  lu_.btran(y_, y_nz_);
 }
 
 double SimplexSolver::reduced_cost(std::size_t j,
@@ -167,9 +174,10 @@ void SimplexSolver::form_pivot_row() {
   // it is the same double a column scan gives.  A slack's column is
   // -e_i, so its alpha is -rho_i.  alpha_dense_ is all +0.0 between
   // calls; a column enters alpha_cols_ again when its sum cancels to
-  // zero, which the sort + unique folds away.
+  // zero, which the sort + unique folds away.  Both passes walk rho's
+  // ascending nonzero list.
   alpha_cols_.clear();
-  for (std::size_t i = 0; i < m_; ++i) {
+  for (std::size_t i : rho_nz_) {
     const double rho_i = rho_[i];
     if (rho_i == 0.0) continue;
     for (std::size_t k = row_start_[i]; k < row_start_[i + 1]; ++k) {
@@ -187,7 +195,7 @@ void SimplexSolver::form_pivot_row() {
     alpha_row_.push_back(Entry{j, alpha_dense_[j]});
     alpha_dense_[j] = 0.0;
   }
-  for (std::size_t i = 0; i < m_; ++i) {
+  for (std::size_t i : rho_nz_) {
     if (rho_[i] != 0.0 && status_[n_ + i] != BasisStatus::Basic)
       alpha_row_.push_back(Entry{n_ + i, -rho_[i]});
   }
@@ -224,22 +232,24 @@ void SimplexSolver::recompute_basic_values() {
     for (const Entry& e : cols_[j]) rhs_[e.col] -= e.coeff * value_[j];
   }
   xb_ = rhs_;
-  lu_.ftran(xb_);
+  list_nonzeros(xb_, xb_nz_);
+  lu_.ftran(xb_, xb_nz_);
 }
 
 bool SimplexSolver::basic_values_accurate() const {
   // rhs_ still holds -sum_nonbasic A_j v_j from recompute_basic_values(),
   // so the residual of the system is B x_B - rhs_.
-  std::fill(w_.begin(), w_.end(), 0.0);
+  std::fill(resid_.begin(), resid_.end(), 0.0);
   double scale = 0.0;
   for (std::size_t pos = 0; pos < m_; ++pos) {
     scale = std::max(scale, std::fabs(xb_[pos]));
-    for (const Entry& e : cols_[basis_[pos]]) w_[e.col] += e.coeff * xb_[pos];
+    for (const Entry& e : cols_[basis_[pos]])
+      resid_[e.col] += e.coeff * xb_[pos];
   }
   double residual = 0.0;
   for (std::size_t i = 0; i < m_; ++i) {
     scale = std::max(scale, std::fabs(rhs_[i]));
-    residual = std::max(residual, std::fabs(w_[i] - rhs_[i]));
+    residual = std::max(residual, std::fabs(resid_[i] - rhs_[i]));
   }
   return residual <= kResidualTol * (1.0 + scale);
 }
@@ -344,6 +354,29 @@ void SimplexSolver::check_reduced_costs(const std::vector<double>& cost)
 #endif
 }
 
+void SimplexSolver::check_work_lists() const {
+#if RRP_INVARIANTS_ENABLED
+  const auto check = [this](const std::vector<double>& v,
+                            const std::vector<std::size_t>& nz,
+                            const char* name) {
+    std::vector<char> listed(m_, 0);
+    for (std::size_t k = 0; k < nz.size(); ++k) {
+      RRP_INVARIANT_MSG(nz[k] < m_ && (k == 0 || nz[k - 1] < nz[k]),
+                        std::string(name) +
+                            "'s nonzero list is not ascending at entry " +
+                            std::to_string(k));
+      listed[nz[k]] = 1;
+    }
+    for (std::size_t i = 0; i < m_; ++i)
+      RRP_INVARIANT_MSG(listed[i] != 0 || v[i] == 0.0,
+                        std::string(name) + "[" + std::to_string(i) +
+                            "] is nonzero outside its list");
+  };
+  check(w_, w_nz_, "w");
+  check(rho_, rho_nz_, "rho");
+#endif
+}
+
 double SimplexSolver::current_objective(const std::vector<double>& cost)
     const {
   double obj = 0.0;
@@ -361,10 +394,14 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
   std::size_t stall = 0;
   double last_obj = current_objective(cost);
   bool use_bland = opt_->pricing == Pricing::Bland;
+  const auto done = [&](PhaseResult result) {
+    check_work_lists();
+    return result;
+  };
 
   for (std::size_t iter = 0; iter < max_iters; ++iter, ++iterations_) {
     // One deadline poll per pivot; a pointer compare when unlimited.
-    if (opt_->deadline.expired()) return PhaseResult::TimeLimit;
+    if (opt_->deadline.expired()) return done(PhaseResult::TimeLimit);
     RRP_COUNTER_ADD("rrp.lp.pivots.primal", 1);
     compute_duals(cost);
 
@@ -407,7 +444,7 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
         dir = cand_dir;
       }
     }
-    if (enter == total_) return PhaseResult::Optimal;
+    if (enter == total_) return done(PhaseResult::Optimal);
 
     // --- Ratio test. ---
     ftran(enter);
@@ -419,7 +456,7 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
     if (dir > 0 && ub_[enter] < kInfinity) t_max = ub_[enter] - value_[enter];
     if (dir < 0 && lb_[enter] > -kInfinity) t_max = value_[enter] - lb_[enter];
 
-    for (std::size_t i = 0; i < m_; ++i) {
+    for (std::size_t i : w_nz_) {
       const double delta = -static_cast<double>(dir) * w_[i];  // d x_B[i]/dt
       if (std::fabs(delta) <= kPivotTol) continue;
       const std::size_t bi = basis_[i];
@@ -447,11 +484,11 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
       }
     }
 
-    if (t_max == kInfinity) return PhaseResult::Unbounded;
+    if (t_max == kInfinity) return done(PhaseResult::Unbounded);
 
     // --- Apply the step. ---
     const double step = std::max(t_max, 0.0);
-    for (std::size_t i = 0; i < m_; ++i)
+    for (std::size_t i : w_nz_)
       xb_[i] -= static_cast<double>(dir) * step * w_[i];
 
     if (limit_kind == 0) {
@@ -473,7 +510,7 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
       const double piv = w_[leave_pos];
       if (std::fabs(piv) < kPivotTol)
         throw NumericalError("simplex: vanishing pivot element");
-      lu_.update(leave_pos, w_);
+      lu_.update(leave_pos, w_, w_nz_);
       ++factor_stats_.eta_updates;
       eta_updates_counter().add(1);
       if (++pivots_since_refactor_ >= opt_->refactor_every ||
@@ -491,7 +528,7 @@ SimplexSolver::PhaseResult SimplexSolver::run_phase(
       use_bland = true;
     }
   }
-  return PhaseResult::IterationLimit;
+  return done(PhaseResult::IterationLimit);
 }
 
 SimplexSolver::DualResult SimplexSolver::run_dual(
@@ -518,6 +555,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
   std::size_t stall = 0;
   const auto done = [&](DualResult result) {
     if (priced) check_reduced_costs(cost);
+    check_work_lists();
     return result;
   };
   for (std::size_t iter = 0; iter < max_iters; ++iter, ++iterations_) {
@@ -553,9 +591,10 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       priced = true;
     }
     // Row r of the basis inverse: BTRAN of the r-th unit vector.
-    std::fill(rho_.begin(), rho_.end(), 0.0);
+    for (std::size_t i : rho_nz_) rho_[i] = 0.0;
     rho_[r] = 1.0;
-    lu_.btran(rho_);
+    rho_nz_.assign(1, r);
+    lu_.btran(rho_, rho_nz_);
     form_pivot_row();
 
     // --- Entering column: dual ratio test over the nonbasics with a
@@ -612,7 +651,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
       throw NumericalError("dual simplex: vanishing pivot element");
     const double denom = -piv * static_cast<double>(enter_dir);
     const double t = std::max((target - xb_[r]) / denom, 0.0);
-    for (std::size_t i = 0; i < m_; ++i)
+    for (std::size_t i : w_nz_)
       xb_[i] -= static_cast<double>(enter_dir) * t * w_[i];
     value_[leave] = target;
     status_[leave] = below ? BasisStatus::AtLower : BasisStatus::AtUpper;
@@ -621,7 +660,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
     basis_[r] = enter;
     status_[enter] = BasisStatus::Basic;
     xb_[r] = enter_val;
-    lu_.update(r, w_);
+    lu_.update(r, w_, w_nz_);
     ++factor_stats_.eta_updates;
     eta_updates_counter().add(1);
     if (++pivots_since_refactor_ >= opt_->refactor_every ||
@@ -677,13 +716,19 @@ Solution SimplexSolver::finish_primal() {
 
   // Final x_B through the factor and eta file the pivots left behind; a
   // fresh factorisation only when the residual shows they have drifted.
+  // run_phase's last pricing left the duals in y_, which stay current
+  // unless that factorisation replaces the factor they came through.
   recompute_basic_values();
-  if (!basic_values_accurate()) refactorize();
+  bool duals_current = true;
+  if (!basic_values_accurate()) {
+    refactorize();
+    duals_current = false;
+  }
   check_basis();
   check_optimality(cost);
   last_optimal_ = true;
   factor_current_ = true;
-  return optimal_solution(cost);
+  return optimal_solution(cost, duals_current);
 }
 
 Solution SimplexSolver::refactored_solution() {
@@ -692,10 +737,11 @@ Solution SimplexSolver::refactored_solution() {
   factor_current_ = false;  // until the factorisation below succeeds
   refactorize();
   factor_current_ = true;
-  return optimal_solution(model_cost());
+  return optimal_solution(model_cost(), false);
 }
 
-Solution SimplexSolver::optimal_solution(const std::vector<double>& cost) {
+Solution SimplexSolver::optimal_solution(const std::vector<double>& cost,
+                                         bool duals_current) {
   Solution sol = stopped(SolveStatus::Optimal);
   sol.x.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
@@ -705,7 +751,7 @@ Solution SimplexSolver::optimal_solution(const std::vector<double>& cost) {
   double objective = 0.0;
   for (std::size_t j = 0; j < n_; ++j) objective += obj_[j] * sol.x[j];
   sol.objective = objective;
-  compute_duals(cost);
+  if (!duals_current) compute_duals(cost);
   sol.duals = y_;
   sol.reduced_costs.assign(n_, 0.0);
   for (std::size_t j = 0; j < n_; ++j)
@@ -780,13 +826,17 @@ bool SimplexSolver::replace_columns(const std::vector<std::size_t>& target) {
   if (pending.size() > m_ / kReplaceShare ||
       pivots_since_refactor_ + pending.size() >= opt_->refactor_every)
     return false;
-  // FTRAN every entering column once; column k belongs to pending[k],
-  // which is set to m_ once its position has been replaced.
+  // FTRAN every entering column once; column k, with nonzero list
+  // lists[k], belongs to pending[k], which is set to m_ once its
+  // position has been replaced.
   std::vector<double>& cols = replace_cols_;
+  std::vector<std::vector<std::size_t>>& lists = replace_nz_;
   cols.resize(pending.size() * m_);
+  if (lists.size() < pending.size()) lists.resize(pending.size());
   for (std::size_t k = 0; k < pending.size(); ++k) {
     ftran(target[pending[k]]);
     std::copy(w_.begin(), w_.end(), cols.begin() + k * m_);
+    lists[k] = w_nz_;
   }
   // Each pass replaces every position whose pivot is usable and defers
   // the rest: a column may only be able to enter once another position
@@ -800,13 +850,14 @@ bool SimplexSolver::replace_columns(const std::vector<std::size_t>& target) {
       const std::size_t pos = pending[k];
       if (pos == m_) continue;
       const std::span<const double> w(cols.data() + k * m_, m_);
+      const std::vector<std::size_t>& w_nz = lists[k];
       double wmax = 0.0;
-      for (double v : w) wmax = std::max(wmax, std::fabs(v));
+      for (std::size_t i : w_nz) wmax = std::max(wmax, std::fabs(w[i]));
       const double piv = w[pos];
       if (std::fabs(piv) < kPivotTol ||
           std::fabs(piv) < kReplacePivotRatio * wmax)
         continue;
-      lu_.update(pos, w);
+      lu_.update(pos, w, w_nz);
       basis_[pos] = target[pos];
       pending[k] = m_;
       --left;
@@ -820,9 +871,14 @@ bool SimplexSolver::replace_columns(const std::vector<std::size_t>& target) {
         const double t = u[pos];
         if (t == 0.0) continue;
         const double scaled = t / piv;
-        for (std::size_t i = 0; i < m_; ++i)
+        for (std::size_t i : w_nz)
           if (i != pos && w[i] != 0.0) u[i] -= w[i] * scaled;
         u[pos] = scaled;
+        // u's nonzeros now lie within its list and w's.
+        replace_merge_.clear();
+        std::set_union(lists[q].begin(), lists[q].end(), w_nz.begin(),
+                       w_nz.end(), std::back_inserter(replace_merge_));
+        lists[q].swap(replace_merge_);
       }
     }
     if (left == before) return false;

@@ -30,8 +30,11 @@
 //
 // The basis is held as a sparse LU factorisation (lp::SparseLu) with
 // product-form eta updates per pivot; FTRAN/BTRAN are sparse triangular
-// solves.  The factor and its eta file live across solves.  A fresh
-// factorisation happens only:
+// solves that return their result's nonzero list, so the entering
+// column w and the pivot row rho of the basis inverse are cleared,
+// applied to x_B, turned into etas and into alpha_r by walking those
+// lists, not all m rows.  The factor and its eta file live across
+// solves.  A fresh factorisation happens only:
 //
 //   * at the all-slack basis of a cold solve;
 //   * when the SimplexOptions::refactor_every update cap or the eta-file
@@ -280,12 +283,15 @@ class SimplexSolver {
                         std::size_t max_iters);
   Solution finish_primal();
   /// Reads x, objective, duals and reduced costs off an optimal basis.
-  Solution optimal_solution(const std::vector<double>& cost);
+  /// `duals_current`: y_ already holds c_B' B^-1 through the current
+  /// factor (run_phase's last pricing), so no BTRAN is needed.
+  Solution optimal_solution(const std::vector<double>& cost,
+                            bool duals_current);
   Solution stopped(SolveStatus status) const;  ///< status + iterations only
   const std::vector<double>& model_cost();
   void refactorize();
   void recompute_basic_values();
-  /// Residual check of recompute_basic_values()'s x_B (uses w_).
+  /// Residual check of recompute_basic_values()'s x_B.
   bool basic_values_accurate() const;
   void compute_duals(const std::vector<double>& cost) const;  ///< into y_
   double reduced_cost(std::size_t j, const std::vector<double>& cost) const;
@@ -293,12 +299,15 @@ class SimplexSolver {
   void price_nonbasic(const std::vector<double>& cost);
   /// alpha_row_ = the nonbasic nonzeros of rho' [A -I], from rho_.
   void form_pivot_row();
-  void ftran(std::size_t j) const;  ///< Binv * A_j into w_
+  void ftran(std::size_t j) const;  ///< Binv * A_j into w_ and w_nz_
   double current_objective(const std::vector<double>& cost) const;
   void check_basis() const;
   void check_optimality(const std::vector<double>& cost) const;
   /// Invariant builds: d_ matches reduced costs priced afresh.
   void check_reduced_costs(const std::vector<double>& cost) const;
+  /// Invariant builds: w_ and rho_ are zero outside their nonzero lists,
+  /// which are ascending and duplicate free.
+  void check_work_lists() const;
 
   // Problem data (bounds/objective mutable via setters).
   std::size_t m_ = 0;      ///< rows
@@ -333,20 +342,31 @@ class SimplexSolver {
   const SimplexOptions* opt_ = nullptr;  ///< options of the active solve
 
   // Preallocated work buffers (one allocation for the solver lifetime).
+  // w_ and rho_ are zero outside their nonzero lists (ascending, as
+  // SparseLu::ftran/btran leave them), so clearing, updating x_B and
+  // forming the pivot row cost their nonzeros rather than m.
   mutable std::vector<double> w_;  ///< ftran result
+  mutable std::vector<std::size_t> w_nz_;
   mutable std::vector<double> y_;  ///< duals
-  std::vector<double> rho_;        ///< btran of a unit vector (dual row)
-  std::vector<double> d_;          ///< run_dual's nonbasic reduced costs
+  mutable std::vector<std::size_t> y_nz_;
+  std::vector<double> rho_;  ///< btran of a unit vector (dual row)
+  std::vector<std::size_t> rho_nz_;
+  std::vector<double> d_;  ///< run_dual's nonbasic reduced costs
   /// The dual pivot row: (column, alpha) for each nonbasic column with a
   /// nonzero in rho' [A -I], in ascending column order.
   std::vector<Entry> alpha_row_;
   std::vector<double> alpha_dense_;  ///< form_pivot_row() scratch, all +0.0
   std::vector<std::size_t> alpha_cols_;
   std::vector<double> rhs_;
-  std::vector<double> cost_;       ///< model cost cache (min sense)
-  // replace_columns() scratch: differing positions, their FTRANed columns.
+  std::vector<std::size_t> xb_nz_;      ///< recompute_basic_values() scratch
+  mutable std::vector<double> resid_;  ///< basic_values_accurate() scratch
+  std::vector<double> cost_;           ///< model cost cache (min sense)
+  // replace_columns() scratch: differing positions, their FTRANed
+  // columns and those columns' nonzero lists.
   std::vector<std::size_t> replace_pending_;
   std::vector<double> replace_cols_;
+  std::vector<std::vector<std::size_t>> replace_nz_;
+  std::vector<std::size_t> replace_merge_;
   std::vector<Entry> border_;  ///< add_row(): new row by basis position
 };
 
