@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/invariant.hpp"
@@ -25,7 +26,10 @@ void DrrpInstance::validate() const {
 milp::Model build_drrp(const DrrpInstance& inst, DrrpVariables* vars) {
   inst.validate();
   const std::size_t T = inst.horizon();
+  const bool capacitated =
+      inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
   milp::Model model;
+  model.reserve(3 * T, (capacitated ? 3 : 2) * T, (capacitated ? 6 : 5) * T);
   DrrpVariables v;
   v.alpha.reserve(T);
   v.beta.reserve(T);
@@ -39,61 +43,47 @@ milp::Model build_drrp(const DrrpInstance& inst, DrrpVariables* vars) {
                                                    inst.demand[t];
   const double loose_bound = remaining[0] + inst.initial_storage + 1.0;
 
-  // Names are composed with += rather than `"alpha" + suffix` to dodge
-  // a GCC 12 -Wrestrict false positive (PR105651) under -Werror.
-  auto indexed = [](const char* base, std::size_t t) {
-    std::string name(base);
-    name += '[';
-    name += std::to_string(t);
-    name += ']';
-    return name;
-  };
   for (std::size_t t = 0; t < T; ++t) {
-    v.alpha.push_back(
-        model.add_continuous(0.0, lp::kInfinity, indexed("alpha", t)));
-    v.beta.push_back(
-        model.add_continuous(0.0, lp::kInfinity, indexed("beta", t)));
-    v.chi.push_back(model.add_binary(indexed("chi", t)));
+    v.alpha.push_back(model.add_continuous(0.0, lp::kInfinity));
+    v.beta.push_back(model.add_continuous(0.0, lp::kInfinity));
+    v.chi.push_back(model.add_binary());
   }
 
   // Objective (1): transfer-in of inputs + holding of inventory +
   // transfer-out of served demand (a constant) + compute rental.
-  milp::LinExpr objective;
+  model.set_objective_sense(milp::Objective::Minimize);
   for (std::size_t t = 0; t < T; ++t) {
-    objective += inst.costs.transfer_in(t) * inst.costs.input_output_ratio() *
-                 milp::LinExpr(v.alpha[t]);
-    objective += inst.costs.holding(t) * milp::LinExpr(v.beta[t]);
-    objective += inst.costs.delivery_cost(inst.demand[t], t);  // constant
-    objective += inst.compute_price[t] * milp::LinExpr(v.chi[t]);
+    model.add_objective_term(v.alpha[t], inst.costs.transfer_in(t) *
+                                             inst.costs.input_output_ratio());
+    model.add_objective_term(v.beta[t], inst.costs.holding(t));
+    model.add_objective_constant(inst.costs.delivery_cost(inst.demand[t], t));
+    model.add_objective_term(v.chi[t], inst.compute_price[t]);
   }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
 
   for (std::size_t t = 0; t < T; ++t) {
     // (2) inventory balance; beta_{-1} is the epsilon of (5).
-    milp::LinExpr balance = milp::LinExpr(v.alpha[t]) -
-                            milp::LinExpr(v.beta[t]);
     if (t == 0) {
-      balance += inst.initial_storage;
+      model.add_row({{v.alpha[t].id, 1.0}, {v.beta[t].id, -1.0}},
+                    inst.demand[t] - inst.initial_storage,
+                    inst.demand[t] - inst.initial_storage);
     } else {
-      balance += milp::LinExpr(v.beta[t - 1]);
+      model.add_row({{v.beta[t - 1].id, 1.0},
+                     {v.alpha[t].id, 1.0},
+                     {v.beta[t].id, -1.0}},
+                    inst.demand[t], inst.demand[t]);
     }
-    model.add_constraint(std::move(balance) == inst.demand[t],
-                         "balance[" + std::to_string(t) + "]");
 
     // (4) forcing constraint with the lot-sizing-tight bound.
     const double big_b = inst.tighten_forcing_bound
                              ? std::max(remaining[t], 1e-9)
                              : loose_bound;
-    model.add_constraint(milp::LinExpr(v.alpha[t]) -
-                                 big_b * milp::LinExpr(v.chi[t]) <=
-                             0.0,
-                         "forcing[" + std::to_string(t) + "]");
+    model.add_row({{v.alpha[t].id, 1.0}, {v.chi[t].id, -big_b}},
+                  -lp::kInfinity, 0.0);
 
     // (3) bottleneck resource, when modelled.
-    if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
-      model.add_constraint(inst.bottleneck_rate * milp::LinExpr(v.alpha[t]) <=
-                               inst.bottleneck_capacity[t],
-                           "bottleneck[" + std::to_string(t) + "]");
+    if (capacitated) {
+      model.add_row({{v.alpha[t].id, inst.bottleneck_rate}}, -lp::kInfinity,
+                    inst.bottleneck_capacity[t]);
     }
   }
 
@@ -110,82 +100,91 @@ milp::Model build_drrp_facility_location(const DrrpInstance& inst,
         "instance");
   }
   const std::size_t T = inst.horizon();
+  const bool has_eps = inst.initial_storage > 0.0;
+  std::size_t served = 0;  // positive-demand slots
+  std::size_t arcs = 0;
+  for (std::size_t s = 0; s < T; ++s) {
+    if (inst.demand[s] <= 0.0) continue;
+    ++served;
+    arcs += s + 1;
+  }
   milp::Model model;
+  // chi, arcs and eps_use; a linking row per arc, a demand row per
+  // served slot and the epsilon budget.
+  model.reserve(T + arcs + served, arcs + served + 1,
+                2 * arcs + arcs + 2 * served);
   DrrpFlVariables v;
 
   std::vector<double> hold_prefix(T + 1, 0.0);
   for (std::size_t u = 0; u < T; ++u)
     hold_prefix[u + 1] = hold_prefix[u] + inst.costs.holding(u);
 
-  for (std::size_t t = 0; t < T; ++t)
-    v.chi.push_back(model.add_binary("chi[" + std::to_string(t) + "]"));
+  v.chi.reserve(T);
+  for (std::size_t t = 0; t < T; ++t) v.chi.push_back(model.add_binary());
 
-  const bool has_eps = inst.initial_storage > 0.0;
-  milp::LinExpr objective;
+  model.set_objective_sense(milp::Objective::Minimize);
   // Arcs t -> s: generate at t, serve demand of slot s.  Cost per GB is
-  // the transfer-in of inputs at t plus carrying from t to s.
-  v.arcs.reserve(T * (T + 1) / 2);
+  // the transfer-in of inputs at t plus carrying from t to s.  The arcs
+  // of slot s are consecutive columns, so they are served_by[s].
+  v.arcs.reserve(arcs);
+  std::vector<std::size_t> served_by(T + 1, 0);
   for (std::size_t s = 0; s < T; ++s) {
+    served_by[s] = v.arcs.size();
     if (inst.demand[s] <= 0.0) continue;
     for (std::size_t t = 0; t <= s; ++t) {
       DrrpFlVariables::Arc arc;
       arc.from = t;
       arc.to = s;
-      arc.amount = model.add_continuous(
-          0.0, inst.demand[s],
-          "y[" + std::to_string(t) + "," + std::to_string(s) + "]");
+      arc.amount = model.add_continuous(0.0, inst.demand[s]);
       const double unit_cost =
           inst.costs.transfer_in(t) * inst.costs.input_output_ratio() +
           (hold_prefix[s] - hold_prefix[t]);
-      objective += unit_cost * milp::LinExpr(arc.amount);
+      model.add_objective_term(arc.amount, unit_cost);
       v.arcs.push_back(arc);
     }
   }
+  served_by[T] = v.arcs.size();
   // eps_use[s]: GB of the initial storage consumed in slot s.  A unit
   // consumed at s was held through slots 0..s-1; a unit never consumed
   // is held through the whole horizon (constant epsilon * H(0,T) with a
   // credit of H(s,T) per consumed unit -- equivalently charge H(0,s)
   // and the constant separately, which is what we do).
+  std::vector<lp::Entry> row;
+  row.reserve(T + 1);
   if (has_eps) {
     // One eps_use per positive-demand slot; entries for zero-demand
     // slots stay invalid (a consumed unit must serve demand, otherwise
     // its holding credit would be a free lunch).
     v.eps_use.assign(T, milp::Var{});
-    milp::LinExpr eps_total;
     for (std::size_t s = 0; s < T; ++s) {
       if (inst.demand[s] <= 0.0) continue;
       v.eps_use[s] = model.add_continuous(
-          0.0, std::min(inst.initial_storage, inst.demand[s]),
-          "eps[" + std::to_string(s) + "]");
-      objective += (hold_prefix[s] - hold_prefix[T]) *
-                   milp::LinExpr(v.eps_use[s]);
-      eps_total += milp::LinExpr(v.eps_use[s]);
+          0.0, std::min(inst.initial_storage, inst.demand[s]));
+      model.add_objective_term(v.eps_use[s], hold_prefix[s] - hold_prefix[T]);
+      row.push_back(lp::Entry{v.eps_use[s].id, 1.0});
     }
-    objective += inst.initial_storage * hold_prefix[T];  // constant
-    model.add_constraint(std::move(eps_total) <= inst.initial_storage,
-                         "eps-budget");
+    model.add_objective_constant(inst.initial_storage * hold_prefix[T]);
+    model.add_row(row, -lp::kInfinity, inst.initial_storage);
   }
   for (std::size_t t = 0; t < T; ++t) {
-    objective += inst.compute_price[t] * milp::LinExpr(v.chi[t]);
-    objective += inst.costs.delivery_cost(inst.demand[t], t);
+    model.add_objective_term(v.chi[t], inst.compute_price[t]);
+    model.add_objective_constant(inst.costs.delivery_cost(inst.demand[t], t));
   }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
 
-  // Demand satisfaction per slot, and arc-chi coupling.
-  std::vector<milp::LinExpr> supply(T);
+  // Arc-chi coupling, and demand satisfaction per slot.
   for (const auto& arc : v.arcs) {
-    supply[arc.to] += milp::LinExpr(arc.amount);
-    model.add_constraint(milp::LinExpr(arc.amount) -
-                             inst.demand[arc.to] *
-                                 milp::LinExpr(v.chi[arc.from]) <=
-                         0.0);
+    model.add_row({{v.chi[arc.from].id, -inst.demand[arc.to]},
+                   {arc.amount.id, 1.0}},
+                  -lp::kInfinity, 0.0);
   }
   for (std::size_t s = 0; s < T; ++s) {
     if (inst.demand[s] <= 0.0) continue;
-    milp::LinExpr row = std::move(supply[s]);
-    if (has_eps && v.eps_use[s].valid()) row += milp::LinExpr(v.eps_use[s]);
-    model.add_constraint(std::move(row) == inst.demand[s],
-                         "demand[" + std::to_string(s) + "]");
+    row.clear();
+    for (std::size_t k = served_by[s]; k < served_by[s + 1]; ++k)
+      row.push_back(lp::Entry{v.arcs[k].amount.id, 1.0});
+    if (has_eps && v.eps_use[s].valid())
+      row.push_back(lp::Entry{v.eps_use[s].id, 1.0});
+    model.add_row(row, inst.demand[s], inst.demand[s]);
   }
 
   if (vars != nullptr) *vars = std::move(v);

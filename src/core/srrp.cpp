@@ -12,20 +12,6 @@
 
 namespace rrp::core {
 
-namespace {
-
-// Composed with += rather than `"alpha" + suffix` to dodge a GCC 12
-// -Wrestrict false positive (PR105651) under -Werror.
-std::string vertex_name(const char* base, std::size_t u) {
-  std::string name(base);
-  name += "[v";
-  name += std::to_string(u);
-  name += ']';
-  return name;
-}
-
-}  // namespace
-
 void SrrpInstance::validate() const {
   RRP_EXPECTS(!demand.empty());
   RRP_EXPECTS(tree.num_stages() == demand.size());
@@ -76,80 +62,108 @@ std::pair<ScenarioTree, std::vector<double>> build_joint_tree(
   return {std::move(tree), std::move(vertex_demand)};
 }
 
-milp::Model build_srrp(const SrrpInstance& inst, SrrpVariables* vars) {
-  inst.validate();
+namespace {
+
+/// The aggregated core shared by both SRRP formulations: alpha, beta
+/// and chi per non-root vertex, the probability-weighted objective (13)
+/// and the tree inventory balance (14).
+void add_srrp_core(const SrrpInstance& inst, milp::Model& model,
+                   std::vector<milp::Var>& alpha, std::vector<milp::Var>& beta,
+                   std::vector<milp::Var>& chi) {
   const ScenarioTree& tree = inst.tree;
   const std::size_t V = tree.num_vertices();
+  for (std::size_t u = 1; u < V; ++u) {
+    alpha[u] = model.add_continuous(0.0, lp::kInfinity);
+    beta[u] = model.add_continuous(0.0, lp::kInfinity);
+    chi[u] = model.add_binary();
+  }
 
-  milp::Model model;
-  SrrpVariables v;
-  v.alpha.resize(V);
-  v.beta.resize(V);
-  v.chi.resize(V);
+  // Objective (13): probability-weighted per-vertex costs.  tau(v) = t
+  // means slot t, whose demand is demand[t-1].
+  model.set_objective_sense(milp::Objective::Minimize);
+  for (std::size_t u = 1; u < V; ++u) {
+    const ScenarioVertex& vert = tree.vertex(u);
+    const std::size_t slot = vert.stage - 1;
+    const double pv = vert.path_prob;
+    model.add_objective_term(alpha[u], pv * inst.costs.transfer_in(slot) *
+                                           inst.costs.input_output_ratio());
+    model.add_objective_term(beta[u], pv * inst.costs.holding(slot));
+    model.add_objective_constant(
+        pv * inst.costs.delivery_cost(inst.demand_at_vertex(u), slot));
+    model.add_objective_term(chi[u], pv * vert.price);
+  }
+}
 
-  // Worst-case remaining demand below each vertex (max over paths):
-  // a valid tight forcing bound even with per-vertex demand.
-  std::vector<double> remaining(V, 0.0);
-  for (std::size_t u = V; u-- > 1;) {
+/// (14) inventory balance at vertex u; the root's inventory is the
+/// epsilon of (17).
+void add_srrp_balance(const SrrpInstance& inst, milp::Model& model,
+                      const std::vector<milp::Var>& alpha,
+                      const std::vector<milp::Var>& beta, std::size_t u) {
+  const ScenarioVertex& vert = inst.tree.vertex(u);
+  const double demand = inst.demand_at_vertex(u);
+  if (vert.parent == inst.tree.root()) {
+    model.add_row({{alpha[u].id, 1.0}, {beta[u].id, -1.0}},
+                  demand - inst.initial_storage,
+                  demand - inst.initial_storage);
+  } else {
+    model.add_row({{beta[vert.parent].id, 1.0},
+                   {alpha[u].id, 1.0},
+                   {beta[u].id, -1.0}},
+                  demand, demand);
+  }
+}
+
+/// Worst-case remaining demand below each vertex (max over paths): a
+/// valid tight forcing bound even with per-vertex demand.
+std::vector<double> remaining_demand(const SrrpInstance& inst) {
+  const ScenarioTree& tree = inst.tree;
+  std::vector<double> remaining(tree.num_vertices(), 0.0);
+  for (std::size_t u = tree.num_vertices(); u-- > 1;) {
     double best_child = 0.0;
     for (std::size_t c : tree.children(u))
       best_child = std::max(best_child, remaining[c]);
     remaining[u] = inst.demand_at_vertex(u) + best_child;
   }
+  return remaining;
+}
+
+}  // namespace
+
+milp::Model build_srrp(const SrrpInstance& inst, SrrpVariables* vars) {
+  inst.validate();
+  const ScenarioTree& tree = inst.tree;
+  const std::size_t V = tree.num_vertices();
+  const bool capacitated =
+      inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
+
+  milp::Model model;
+  model.reserve(3 * (V - 1), (capacitated ? 3 : 2) * (V - 1),
+                (capacitated ? 6 : 5) * (V - 1));
+  SrrpVariables v;
+  v.alpha.resize(V);
+  v.beta.resize(V);
+  v.chi.resize(V);
+
+  const std::vector<double> remaining = remaining_demand(inst);
   double loose_bound = inst.initial_storage + 1.0;
   for (std::size_t c : tree.children(tree.root()))
     loose_bound = std::max(loose_bound, remaining[c] + inst.initial_storage + 1.0);
 
+  add_srrp_core(inst, model, v.alpha, v.beta, v.chi);
   for (std::size_t u = 1; u < V; ++u) {
-    v.alpha[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("alpha", u));
-    v.beta[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("beta", u));
-    v.chi[u] = model.add_binary(vertex_name("chi", u));
-  }
-
-  // Objective (13): probability-weighted per-vertex costs.  tau(v) = t
-  // means slot t, whose demand is demand[t-1].
-  milp::LinExpr objective;
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    const std::size_t slot = vert.stage - 1;
-    const double pv = vert.path_prob;
-    objective += pv * inst.costs.transfer_in(slot) *
-                 inst.costs.input_output_ratio() * milp::LinExpr(v.alpha[u]);
-    objective += pv * inst.costs.holding(slot) * milp::LinExpr(v.beta[u]);
-    objective += pv * inst.costs.delivery_cost(inst.demand_at_vertex(u), slot);
-    objective += pv * vert.price * milp::LinExpr(v.chi[u]);
-  }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
-
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    const std::size_t slot = vert.stage - 1;
-
-    // (14) inventory balance along the tree; the root's inventory is
-    // the epsilon of (17).
-    milp::LinExpr balance =
-        milp::LinExpr(v.alpha[u]) - milp::LinExpr(v.beta[u]);
-    if (vert.parent == tree.root()) {
-      balance += inst.initial_storage;
-    } else {
-      balance += milp::LinExpr(v.beta[vert.parent]);
-    }
-    model.add_constraint(std::move(balance) == inst.demand_at_vertex(u));
+    add_srrp_balance(inst, model, v.alpha, v.beta, u);
 
     // (16) forcing with the lot-sizing-tight bound.
     const double big_b = inst.tighten_forcing_bound
                              ? std::max(remaining[u], 1e-9)
                              : loose_bound;
-    model.add_constraint(
-        milp::LinExpr(v.alpha[u]) - big_b * milp::LinExpr(v.chi[u]) <= 0.0);
+    model.add_row({{v.alpha[u].id, 1.0}, {v.chi[u].id, -big_b}},
+                  -lp::kInfinity, 0.0);
 
     // (15) bottleneck, when modelled.
-    if (inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty()) {
-      model.add_constraint(inst.bottleneck_rate *
-                               milp::LinExpr(v.alpha[u]) <=
-                           inst.bottleneck_capacity[slot]);
+    if (capacitated) {
+      model.add_row({{v.alpha[u].id, inst.bottleneck_rate}}, -lp::kInfinity,
+                    inst.bottleneck_capacity[tree.vertex(u).stage - 1]);
     }
   }
 
@@ -167,60 +181,40 @@ milp::Model build_srrp_facility_location(const SrrpInstance& inst,
   }
   const ScenarioTree& tree = inst.tree;
   const std::size_t V = tree.num_vertices();
+  const bool has_eps = inst.initial_storage > 0.0;
+  auto demand_at = [&](std::size_t u) { return inst.demand_at_vertex(u); };
+
+  // One coverage arc from each ancestor-or-self of a demand vertex, so
+  // a vertex at stage s with demand has s arcs.
+  std::size_t served = 0;
+  std::size_t arcs = 0;
+  for (std::size_t u = 1; u < V; ++u) {
+    if (demand_at(u) <= 0.0) continue;
+    ++served;
+    arcs += tree.vertex(u).stage;
+  }
+  const std::size_t leaves = tree.leaves().size();
+  const std::size_t depth = tree.num_stages();
   milp::Model model;
+  model.reserve(3 * (V - 1) + arcs + served,
+                2 * (V - 1) + arcs + served + leaves * (depth + 1),
+                5 * (V - 1) + 3 * arcs + 2 * served +
+                    leaves * depth * (depth + 3));
   SrrpFlVariables v;
   v.alpha.assign(V, milp::Var{});
   v.beta.assign(V, milp::Var{});
   v.chi.assign(V, milp::Var{});
   v.eps_use.assign(V, milp::Var{});
 
-  auto slot_of = [&tree](std::size_t u) { return tree.vertex(u).stage - 1; };
-  auto demand_at = [&](std::size_t u) { return inst.demand_at_vertex(u); };
-
-  // Worst-case remaining demand below each vertex (max over paths).
-  std::vector<double> remaining(V, 0.0);
-  for (std::size_t u = V; u-- > 1;) {
-    double best_child = 0.0;
-    for (std::size_t c : tree.children(u))
-      best_child = std::max(best_child, remaining[c]);
-    remaining[u] = demand_at(u) + best_child;
-  }
+  const std::vector<double> remaining = remaining_demand(inst);
 
   // --- Aggregated core: exact objective and balance semantics. ---
+  add_srrp_core(inst, model, v.alpha, v.beta, v.chi);
   for (std::size_t u = 1; u < V; ++u) {
-    v.alpha[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("alpha", u));
-    v.beta[u] =
-        model.add_continuous(0.0, lp::kInfinity, vertex_name("beta", u));
-    v.chi[u] = model.add_binary(vertex_name("chi", u));
-  }
-  milp::LinExpr objective;
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    const std::size_t slot = slot_of(u);
-    const double pv = vert.path_prob;
-    objective += pv * inst.costs.transfer_in(slot) *
-                 inst.costs.input_output_ratio() * milp::LinExpr(v.alpha[u]);
-    objective += pv * inst.costs.holding(slot) * milp::LinExpr(v.beta[u]);
-    objective += pv * inst.costs.delivery_cost(demand_at(u), slot);
-    objective += pv * vert.price * milp::LinExpr(v.chi[u]);
-  }
-  model.set_objective(std::move(objective), milp::Objective::Minimize);
-
-  for (std::size_t u = 1; u < V; ++u) {
-    const ScenarioVertex& vert = tree.vertex(u);
-    milp::LinExpr balance =
-        milp::LinExpr(v.alpha[u]) - milp::LinExpr(v.beta[u]);
-    if (vert.parent == tree.root()) {
-      balance += inst.initial_storage;
-    } else {
-      balance += milp::LinExpr(v.beta[vert.parent]);
-    }
-    model.add_constraint(std::move(balance) == demand_at(u));
-    model.add_constraint(milp::LinExpr(v.alpha[u]) -
-                             std::max(remaining[u], 1e-9) *
-                                 milp::LinExpr(v.chi[u]) <=
-                         0.0);
+    add_srrp_balance(inst, model, v.alpha, v.beta, u);
+    model.add_row(
+        {{v.alpha[u].id, 1.0}, {v.chi[u].id, -std::max(remaining[u], 1e-9)}},
+        -lp::kInfinity, 0.0);
   }
 
   // --- Strengthening block: coverage arcs. ---
@@ -229,71 +223,65 @@ milp::Model build_srrp_facility_location(const SrrpInstance& inst,
   // path (FIFO decomposition always exists for a feasible plan, so the
   // block never changes the optimum).  Its power is the disaggregated
   // coupling y <= D * chi, the facility-location cut that makes the LP
-  // relaxation nearly integral.
-  const bool has_eps = inst.initial_storage > 0.0;
-  std::vector<milp::LinExpr> supply(V);          // per demand vertex
-  std::vector<milp::LinExpr> path_use(V);        // per producing vertex:
-                                                 // filled leaf-wise below
+  // relaxation nearly integral.  The arcs into vtx are consecutive, from
+  // vtx itself up to its stage-1 ancestor: the arc from the ancestor at
+  // stage s is v.arcs[first_arc[vtx] + stage(vtx) - s].
+  v.arcs.reserve(arcs);
+  std::vector<std::size_t> first_arc(V, 0);
   for (std::size_t vtx = 1; vtx < V; ++vtx) {
     const double dv = demand_at(vtx);
     if (dv <= 0.0) continue;
+    first_arc[vtx] = v.arcs.size();
     std::size_t u = vtx;
     for (;;) {
       SrrpFlVariables::Arc arc;
       arc.from = u;
       arc.to = vtx;
-      arc.amount = model.add_continuous(
-          0.0, dv,
-          "y[v" + std::to_string(u) + ",v" + std::to_string(vtx) + "]");
-      supply[vtx] += milp::LinExpr(arc.amount);
-      model.add_constraint(milp::LinExpr(arc.amount) -
-                               dv * milp::LinExpr(v.chi[u]) <=
-                           0.0);
+      arc.amount = model.add_continuous(0.0, dv);
+      model.add_row({{v.chi[u].id, -dv}, {arc.amount.id, 1.0}},
+                    -lp::kInfinity, 0.0);
       v.arcs.push_back(arc);
       if (tree.vertex(u).parent == tree.root()) break;
       u = tree.vertex(u).parent;
     }
     if (has_eps) {
-      v.eps_use[vtx] = model.add_continuous(
-          0.0, std::min(inst.initial_storage, dv),
-          "eps[v" + std::to_string(vtx) + "]");
-      supply[vtx] += milp::LinExpr(v.eps_use[vtx]);
+      v.eps_use[vtx] =
+          model.add_continuous(0.0, std::min(inst.initial_storage, dv));
     }
   }
+  std::vector<lp::Entry> row;
+  row.reserve(depth + 1);
   for (std::size_t vtx = 1; vtx < V; ++vtx) {
     if (demand_at(vtx) <= 0.0) continue;
-    model.add_constraint(std::move(supply[vtx]) == demand_at(vtx));
+    row.clear();
+    const std::size_t stage = tree.vertex(vtx).stage;
+    for (std::size_t k = 0; k < stage; ++k)
+      row.push_back(lp::Entry{v.arcs[first_arc[vtx] + k].amount.id, 1.0});
+    if (v.eps_use[vtx].valid())
+      row.push_back(lp::Entry{v.eps_use[vtx].id, 1.0});
+    model.add_row(row, demand_at(vtx), demand_at(vtx));
   }
   // Per-scenario production links: along any root-to-leaf path, the
   // arcs drawn from a producing vertex u cannot exceed alpha_u; and the
   // epsilon drawn cannot exceed the initial storage.
   for (std::size_t leaf : tree.leaves()) {
-    const auto path = tree.path_from_root(leaf);
-    // Collect arc usage per producer restricted to this path.
-    for (std::size_t u : path) path_use[u] = milp::LinExpr();
-    milp::LinExpr eps_on_path;
-    bool any_eps = false;
-    for (const auto& arc : v.arcs) {
-      // arc.to on this path?  path vertices are one per stage.
-      const std::size_t stage_idx = tree.vertex(arc.to).stage - 1;
-      if (stage_idx < path.size() && path[stage_idx] == arc.to) {
-        path_use[arc.from] += milp::LinExpr(arc.amount);
+    const auto path = tree.path_from_root(leaf);  // path[s - 1] at stage s
+    for (std::size_t su = 1; su <= path.size(); ++su) {
+      const std::size_t u = path[su - 1];
+      row.clear();
+      row.push_back(lp::Entry{v.alpha[u].id, -1.0});
+      for (std::size_t s = su; s <= path.size(); ++s) {
+        const std::size_t vtx = path[s - 1];
+        if (demand_at(vtx) <= 0.0) continue;
+        row.push_back(
+            lp::Entry{v.arcs[first_arc[vtx] + s - su].amount.id, 1.0});
       }
+      if (row.size() > 1) model.add_row(row, -lp::kInfinity, 0.0);
     }
-    for (std::size_t u : path) {
-      if (v.eps_use[u].valid()) {
-        eps_on_path += milp::LinExpr(v.eps_use[u]);
-        any_eps = true;
-      }
-      if (!path_use[u].terms().empty()) {
-        model.add_constraint(std::move(path_use[u]) -
-                                 milp::LinExpr(v.alpha[u]) <=
-                             0.0);
-      }
-      path_use[u] = milp::LinExpr();
-    }
-    if (any_eps)
-      model.add_constraint(std::move(eps_on_path) <= inst.initial_storage);
+    row.clear();
+    for (std::size_t u : path)
+      if (v.eps_use[u].valid()) row.push_back(lp::Entry{v.eps_use[u].id, 1.0});
+    if (!row.empty()) model.add_row(row, -lp::kInfinity, inst.initial_storage);
   }
 
   if (vars != nullptr) *vars = std::move(v);

@@ -2,43 +2,84 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 namespace rrp::lp {
 
+namespace {
+/// add_row() sorts an unsorted row of at most this many entries by
+/// insertion, which is stable and allocates nothing.
+constexpr std::size_t kInsertionSortMax = 32;
+}  // namespace
+
 std::size_t LinearProgram::add_variable(double lo, double hi,
-                                        double objective, std::string name) {
+                                        double objective) {
   RRP_EXPECTS(lo <= hi);
   RRP_EXPECTS(std::isfinite(objective));
   RRP_EXPECTS(!(lo == kInfinity) && !(hi == -kInfinity));
-  variables_.push_back(Variable{lo, hi, objective, std::move(name)});
+  variables_.push_back(Variable{lo, hi, objective});
   return variables_.size() - 1;
 }
 
-std::size_t LinearProgram::add_row(std::vector<Entry> entries, double lo,
-                                   double hi, std::string name) {
+std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
+                                   double hi) {
   RRP_EXPECTS(lo <= hi);
   RRP_EXPECTS(lo < kInfinity && hi > -kInfinity);
+  const std::less<const Entry*> before;
+  RRP_EXPECTS(entries.empty() || entries_.empty() ||
+              before(entries.data(), entries_.data()) ||
+              !before(entries.data(), entries_.data() + entries_.size()));
   for (const Entry& e : entries) {
     RRP_EXPECTS(e.col < variables_.size());
     RRP_EXPECTS(std::isfinite(e.coeff));
   }
-  // Merge duplicate columns.  The stable sort keeps each column's
-  // entries in input order and every sum starts from +0.0, so a merged
-  // coefficient is the same double a std::map<col, double> += merge
-  // gives.  Zero sums are dropped.
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const Entry& a, const Entry& b) { return a.col < b.col; });
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < entries.size();) {
-    const std::size_t col = entries[i].col;
-    double sum = 0.0;
-    for (; i < entries.size() && entries[i].col == col; ++i)
-      sum += entries[i].coeff;
-    if (sum != 0.0) entries[kept++] = Entry{col, sum};
+  // Merge duplicate columns in place at the end of the entry array.
+  // Each column's entries keep their input order (a stable sort, and
+  // only when the columns are not already ascending) and every sum
+  // starts from +0.0, so a merged coefficient is the same double a
+  // std::map<col, double> += merge gives.  Zero sums are dropped.
+  const std::size_t begin = entries_.size();
+  entries_.insert(entries_.end(), entries.begin(), entries.end());
+  const auto first = entries_.begin() + static_cast<std::ptrdiff_t>(begin);
+  const auto by_col = [](const Entry& a, const Entry& b) {
+    return a.col < b.col;
+  };
+  if (!std::is_sorted(first, entries_.end(), by_col)) {
+    if (entries.size() <= kInsertionSortMax) {
+      // Stable without the temporary buffer std::stable_sort allocates.
+      for (auto it = first + 1; it != entries_.end(); ++it) {
+        const Entry e = *it;
+        auto hole = it;
+        for (; hole != first && e.col < (hole - 1)->col; --hole)
+          *hole = *(hole - 1);
+        *hole = e;
+      }
+    } else {
+      std::stable_sort(first, entries_.end(), by_col);
+    }
   }
-  entries.resize(kept);
-  rows_.push_back(Row{std::move(entries), lo, hi, std::move(name)});
-  return rows_.size() - 1;
+  std::size_t kept = begin;
+  for (std::size_t i = begin; i < entries_.size();) {
+    const std::size_t col = entries_[i].col;
+    double sum = 0.0;
+    for (; i < entries_.size() && entries_[i].col == col; ++i)
+      sum += entries_[i].coeff;
+    if (sum != 0.0) entries_[kept++] = Entry{col, sum};
+  }
+  entries_.resize(kept);
+  row_start_.push_back(kept);
+  row_lo_.push_back(lo);
+  row_hi_.push_back(hi);
+  return row_lo_.size() - 1;
+}
+
+void LinearProgram::reserve(std::size_t variables, std::size_t rows,
+                            std::size_t nonzeros) {
+  variables_.reserve(variables);
+  row_start_.reserve(rows + 1);
+  row_lo_.reserve(rows);
+  row_hi_.reserve(rows);
+  entries_.reserve(nonzeros);
 }
 
 void LinearProgram::set_objective(std::size_t var, double coeff) {
@@ -70,11 +111,11 @@ double LinearProgram::max_violation(const std::vector<double>& x) const {
     worst = std::max(worst, variables_[i].lo - x[i]);
     worst = std::max(worst, x[i] - variables_[i].hi);
   }
-  for (const Row& r : rows_) {
+  for (std::size_t r = 0; r < num_rows(); ++r) {
     double ax = 0.0;
-    for (const Entry& e : r.entries) ax += e.coeff * x[e.col];
-    worst = std::max(worst, r.lo - ax);
-    worst = std::max(worst, ax - r.hi);
+    for (const Entry& e : row(r).entries) ax += e.coeff * x[e.col];
+    worst = std::max(worst, row_lo_[r] - ax);
+    worst = std::max(worst, ax - row_hi_[r]);
   }
   return std::max(worst, 0.0);
 }

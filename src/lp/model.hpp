@@ -6,8 +6,9 @@
 // it from the higher-level modelling API.
 #pragma once
 
+#include <initializer_list>
 #include <limits>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,12 +25,13 @@ struct Entry {
   double coeff = 0.0;
 };
 
-/// A ranged constraint row lo <= a'x <= hi (lo == hi for equalities).
+/// A view of the ranged constraint row lo <= a'x <= hi (lo == hi for
+/// equalities): its entries sit in the program's flat entry array and
+/// stay valid until the next add_row().
 struct Row {
-  std::vector<Entry> entries;
+  std::span<const Entry> entries;
   double lo = -kInfinity;
   double hi = kInfinity;
-  std::string name;
 };
 
 /// Variable bounds and objective coefficient.
@@ -37,20 +39,33 @@ struct Variable {
   double lo = 0.0;
   double hi = kInfinity;
   double objective = 0.0;
-  std::string name;
 };
 
+/// The rows are stored once, flat (compressed sparse rows): row r's
+/// entries are entries()[row_starts()[r], row_starts()[r + 1]), with
+/// distinct columns in ascending order.  lp::SimplexSolver copies these
+/// arrays as they are.
 class LinearProgram {
  public:
   /// Adds a variable with bounds [lo, hi] and the given objective
   /// coefficient.  Requires lo <= hi and finite objective.
-  std::size_t add_variable(double lo, double hi, double objective,
-                           std::string name = {});
+  std::size_t add_variable(double lo, double hi, double objective);
 
   /// Adds a ranged row.  Column indices must reference existing
-  /// variables; duplicate columns within a row are summed.
-  std::size_t add_row(std::vector<Entry> entries, double lo, double hi,
-                      std::string name = {});
+  /// variables; duplicate columns within a row are summed, in input
+  /// order from +0.0, and zero sums dropped.  `entries` must not view
+  /// this program's own entries.
+  std::size_t add_row(std::span<const Entry> entries, double lo, double hi);
+  std::size_t add_row(std::initializer_list<Entry> entries, double lo,
+                      double hi) {
+    return add_row(std::span<const Entry>(entries.begin(), entries.size()),
+                   lo, hi);
+  }
+
+  /// Reserves room for the given numbers of variables, rows and row
+  /// nonzeros (a hint; nothing else changes).
+  void reserve(std::size_t variables, std::size_t rows,
+               std::size_t nonzeros);
 
   void set_sense(Sense sense) { sense_ = sense; }
   Sense sense() const { return sense_; }
@@ -59,10 +74,16 @@ class LinearProgram {
   void set_variable_bounds(std::size_t var, double lo, double hi);
 
   std::size_t num_variables() const { return variables_.size(); }
-  std::size_t num_rows() const { return rows_.size(); }
+  std::size_t num_rows() const { return row_lo_.size(); }
 
   const Variable& variable(std::size_t i) const { return variables_[i]; }
-  const Row& row(std::size_t r) const { return rows_[r]; }
+  Row row(std::size_t r) const {
+    return Row{std::span<const Entry>(entries_).subspan(
+                   row_start_[r], row_start_[r + 1] - row_start_[r]),
+               row_lo_[r], row_hi_[r]};
+  }
+  std::span<const std::size_t> row_starts() const { return row_start_; }
+  std::span<const Entry> entries() const { return entries_; }
 
   /// Evaluates the objective at a point (no feasibility check).
   double objective_value(const std::vector<double>& x) const;
@@ -72,7 +93,9 @@ class LinearProgram {
 
  private:
   std::vector<Variable> variables_;
-  std::vector<Row> rows_;
+  std::vector<std::size_t> row_start_{0};
+  std::vector<Entry> entries_;
+  std::vector<double> row_lo_, row_hi_;
   Sense sense_ = Sense::Minimize;
 };
 

@@ -49,28 +49,22 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
   total_ = n_ + m_;
   sense_ = lp.sense();
 
-  cols_.resize(total_);
-  lb_.assign(total_, 0.0);
-  ub_.assign(total_, kInfinity);
-  obj_.assign(n_, 0.0);
+  lb_.resize(total_);
+  ub_.resize(total_);
+  obj_.resize(n_);
   for (std::size_t j = 0; j < n_; ++j) {
     lb_[j] = lp.variable(j).lo;
     ub_[j] = lp.variable(j).hi;
     obj_[j] = lp.variable(j).objective;
   }
-  row_start_.assign(1, 0);
+  // Slack of row r: a'x - s = 0, s in [row.lo, row.hi].
   for (std::size_t r = 0; r < m_; ++r) {
-    for (const Entry& e : lp.row(r).entries) {
-      cols_[e.col].push_back(Entry{r, e.coeff});
-      rows_.push_back(e);
-    }
-    row_start_.push_back(rows_.size());
-    // Slack: a'x - s = 0, s in [row.lo, row.hi].
-    const std::size_t s = n_ + r;
-    cols_[s].push_back(Entry{r, -1.0});
-    lb_[s] = lp.row(r).lo;
-    ub_[s] = lp.row(r).hi;
+    lb_[n_ + r] = lp.row(r).lo;
+    ub_[n_ + r] = lp.row(r).hi;
   }
+  row_start_.assign(lp.row_starts().begin(), lp.row_starts().end());
+  rows_.assign(lp.entries().begin(), lp.entries().end());
+  build_columns();
 
   status_.assign(total_, BasisStatus::AtLower);
   value_.assign(total_, 0.0);
@@ -84,6 +78,31 @@ SimplexSolver::SimplexSolver(const LinearProgram& lp) {
   cost_.assign(total_, 0.0);
   d_.assign(total_, 0.0);
   alpha_dense_.assign(n_, 0.0);
+}
+
+void SimplexSolver::build_columns() {
+  // Counting sort of the rows into [A -I] by column.  col_start_[j + 1]
+  // first counts column j; after the prefix sum col_start_[j] is
+  // column j's fill cursor, which the fill leaves at the column's end,
+  // the next column's start, so one shift restores the starts.  Rows
+  // are visited in order, so each column lists its rows ascending.
+  col_start_.assign(total_ + 1, 0);
+  for (const Entry& e : rows_) ++col_start_[e.col + 1];
+  for (std::size_t r = 0; r < m_; ++r) col_start_[n_ + r + 1] = 1;
+  for (std::size_t j = 0; j < total_; ++j) col_start_[j + 1] += col_start_[j];
+  col_entries_.resize(col_start_[total_]);
+  for (std::size_t r = 0; r < m_; ++r) {
+    for (std::size_t k = row_start_[r]; k < row_start_[r + 1]; ++k)
+      col_entries_[col_start_[rows_[k].col]++] = Entry{r, rows_[k].coeff};
+    col_entries_[col_start_[n_ + r]++] = Entry{r, -1.0};
+  }
+  for (std::size_t j = total_; j > 0; --j) col_start_[j] = col_start_[j - 1];
+  col_start_[0] = 0;
+  column_rows_ = m_;
+}
+
+void SimplexSolver::sync_columns() {
+  if (column_rows_ != m_) build_columns();
 }
 
 void SimplexSolver::set_variable_bounds(std::size_t j, double lo, double hi) {
@@ -104,7 +123,6 @@ void SimplexSolver::add_row(const Row& row) {
   const std::size_t r = m_;
   for (const Entry& e : row.entries) {
     RRP_EXPECTS(e.col < n_);
-    cols_[e.col].push_back(Entry{r, e.coeff});
     rows_.push_back(e);
   }
   row_start_.push_back(rows_.size());
@@ -113,17 +131,21 @@ void SimplexSolver::add_row(const Row& row) {
   // triangular, so it stays nonsingular, and every reduced cost is
   // unchanged, so an optimal basis stays dual feasible.  A current
   // factor is bordered with the row's coefficients on the basic
-  // columns, the last entry of each column that has one in row r.
+  // columns, by ascending position (alpha_dense_, all +0.0 between
+  // pivots, holds the row scattered by column meanwhile).  The column
+  // arrays are rebuilt once, at the next solve, for all the rows added
+  // since the last one.
   if (factor_current_) {
+    for (const Entry& e : row.entries) alpha_dense_[e.col] = e.coeff;
     border_.clear();
     for (std::size_t pos = 0; pos < m_; ++pos) {
-      const std::vector<Entry>& col = cols_[basis_[pos]];
-      if (!col.empty() && col.back().col == r)
-        border_.push_back(Entry{pos, col.back().coeff});
+      const std::size_t j = basis_[pos];
+      if (j < n_ && alpha_dense_[j] != 0.0)
+        border_.push_back(Entry{pos, alpha_dense_[j]});
     }
+    for (const Entry& e : row.entries) alpha_dense_[e.col] = 0.0;
     lu_.append_row(border_);
   }
-  cols_.push_back({Entry{r, -1.0}});
   lb_.push_back(row.lo);
   ub_.push_back(row.hi);
   status_.push_back(BasisStatus::Basic);
@@ -141,7 +163,7 @@ void SimplexSolver::ftran(std::size_t j) const {
   // w = Binv * A_j, via the sparse solve B w = A_j.
   for (std::size_t i : w_nz_) w_[i] = 0.0;
   w_nz_.clear();
-  for (const Entry& e : cols_[j]) {
+  for (const Entry& e : columns()[j]) {
     w_[e.col] += e.coeff;
     w_nz_.push_back(e.col);
   }
@@ -158,7 +180,7 @@ void SimplexSolver::compute_duals(const std::vector<double>& cost) const {
 double SimplexSolver::reduced_cost(std::size_t j,
                                    const std::vector<double>& cost) const {
   double d = cost[j];
-  for (const Entry& e : cols_[j]) d -= y_[e.col] * e.coeff;
+  for (const Entry& e : columns()[j]) d -= y_[e.col] * e.coeff;
   return d;
 }
 
@@ -170,7 +192,7 @@ void SimplexSolver::price_nonbasic(const std::vector<double>& cost) {
 
 void SimplexSolver::form_pivot_row() {
   // alpha_j = rho' A_j over rho's nonzeros: each structural alpha sums
-  // rho_i * a_ij over i ascending, the order of its column in cols_, so
+  // rho_i * a_ij over i ascending, the order of its column, so
   // it is the same double a column scan gives.  A slack's column is
   // -e_i, so its alpha is -rho_i.  alpha_dense_ is all +0.0 between
   // calls; a column enters alpha_cols_ again when its sum cancels to
@@ -203,7 +225,8 @@ void SimplexSolver::form_pivot_row() {
 
 void SimplexSolver::refactorize() {
   RRP_TRACE_SPAN("lp.refactor");
-  lu_.factorize(m_, cols_, basis_);  // throws NumericalError if singular
+  // Throws NumericalError if singular.
+  lu_.factorize(m_, columns(), basis_);
   const double fill = lu_.fill_ratio();
   ++factor_stats_.refactorizations;
   factor_stats_.fill_ratio_sum += fill;
@@ -229,7 +252,7 @@ void SimplexSolver::recompute_basic_values() {
   std::fill(rhs_.begin(), rhs_.end(), 0.0);
   for (std::size_t j = 0; j < total_; ++j) {
     if (status_[j] == BasisStatus::Basic || value_[j] == 0.0) continue;
-    for (const Entry& e : cols_[j]) rhs_[e.col] -= e.coeff * value_[j];
+    for (const Entry& e : columns()[j]) rhs_[e.col] -= e.coeff * value_[j];
   }
   xb_ = rhs_;
   list_nonzeros(xb_, xb_nz_);
@@ -243,7 +266,7 @@ bool SimplexSolver::basic_values_accurate() const {
   double scale = 0.0;
   for (std::size_t pos = 0; pos < m_; ++pos) {
     scale = std::max(scale, std::fabs(xb_[pos]));
-    for (const Entry& e : cols_[basis_[pos]])
+    for (const Entry& e : columns()[basis_[pos]])
       resid_[e.col] += e.coeff * xb_[pos];
   }
   double residual = 0.0;
@@ -374,6 +397,56 @@ void SimplexSolver::check_work_lists() const {
   };
   check(w_, w_nz_, "w");
   check(rho_, rho_nz_, "rho");
+#endif
+}
+
+bool SimplexSolver::violated(std::size_t i) const {
+  const std::size_t bi = basis_[i];
+  const double tol = opt_->feasibility_tol * (1.0 + std::fabs(xb_[i]));
+  const double viol = std::max(lb_[bi] - xb_[i], xb_[i] - ub_[bi]);
+  return viol > tol;  // a NaN never counts
+}
+
+void SimplexSolver::list_infeasible() {
+  infeasible_.clear();
+  infeasible_at_.assign(m_, m_);
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (!violated(i)) continue;
+    infeasible_at_[i] = infeasible_.size();
+    infeasible_.push_back(i);
+  }
+}
+
+void SimplexSolver::update_infeasible(std::size_t i) {
+  const std::size_t k = infeasible_at_[i];
+  if (violated(i)) {
+    if (k != m_) return;
+    infeasible_at_[i] = infeasible_.size();
+    infeasible_.push_back(i);
+  } else if (k != m_) {
+    const std::size_t last = infeasible_.back();
+    infeasible_[k] = last;
+    infeasible_at_[last] = k;
+    infeasible_.pop_back();
+    infeasible_at_[i] = m_;
+  }
+}
+
+void SimplexSolver::check_infeasible_list() const {
+#if RRP_INVARIANTS_ENABLED
+  // The list against a scan of every position.
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    const std::size_t k = infeasible_at_[i];
+    RRP_INVARIANT_MSG((k != m_) == violated(i),
+                      "position " + std::to_string(i) +
+                          (k != m_ ? " listed but feasible"
+                                   : " infeasible but not listed"));
+    if (k == m_) continue;
+    RRP_INVARIANT(k < infeasible_.size() && infeasible_[k] == i);
+    ++count;
+  }
+  RRP_INVARIANT(count == infeasible_.size());
 #endif
 }
 
@@ -549,32 +622,41 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
   // alpha_r the ratio test forms anyway (y moves by theta_D * rho, so
   // d_j drops by theta_D * alpha_rj), which leaves one BTRAN per pivot:
   // rho itself.
+  //
+  // The leaving row is chosen from a list of the infeasible positions
+  // (Hall & McKinnon's hyper-sparse CHUZR), built by one scan here and
+  // after every refactorisation (which recomputes x_B); a pivot changes
+  // x_B only on w's nonzeros, so it updates the list from w_nz_ alone.
   bool priced = false;
   const bool pinned_bland = bland || opt_->pricing == Pricing::Bland;
   bool use_bland = pinned_bland;
   std::size_t stall = 0;
+  list_infeasible();
   const auto done = [&](DualResult result) {
     if (priced) check_reduced_costs(cost);
     check_work_lists();
+    check_infeasible_list();
     return result;
   };
   for (std::size_t iter = 0; iter < max_iters; ++iter, ++iterations_) {
     if (opt_->deadline.expired()) return done(DualResult::TimeLimit);
     RRP_COUNTER_ADD("rrp.lp.pivots.dual", 1);
 
-    // --- Leaving row: most violated (or least-index) basic variable. ---
+    // --- Leaving row: most violated (ties to the least position) or,
+    // under Bland, least-index basic variable: the pick of a scan of
+    // all m positions in ascending order. ---
     std::size_t r = m_;
     bool below = false;
     double worst = 0.0;
-    for (std::size_t i = 0; i < m_; ++i) {
+    for (std::size_t i : infeasible_) {
       const std::size_t bi = basis_[i];
-      const double tol = opt_->feasibility_tol * (1.0 + std::fabs(xb_[i]));
       const double under = lb_[bi] - xb_[i];
       const double over = xb_[i] - ub_[bi];
       const double viol = std::max(under, over);
-      if (!(viol > tol)) continue;  // feasible (a NaN never leaves)
+      // A scan in position order keeps the first of equal violations.
       const bool better =
-          use_bland ? r == m_ || bi < basis_[r] : viol > worst;
+          use_bland ? r == m_ || bi < basis_[r]
+                    : viol > worst || (r != m_ && i < r && viol >= worst);
       if (better) {
         worst = viol;
         r = i;
@@ -667,16 +749,19 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
         lu_.eta_nonzeros() > eta_nnz_cap_)
       refactorize();
 
-    // --- Reduced costs: updated over the pivot row's nonzeros, else
+    // --- Reduced costs and infeasible list: updated over the pivot
+    // row's and w's nonzeros (w_[r] is the pivot, so r is listed), else
     // priced afresh at the next pivot (through the fresh factor after a
-    // refactorisation). ---
+    // refactorisation) and listed afresh from the recomputed x_B. ---
     if (factor_stats_.refactorizations == refactorizations) {
       const double theta = d_[enter] / enter_alpha;
       for (const Entry& a : alpha_row_) d_[a.col] -= theta * a.coeff;
       d_[enter] = 0.0;
       d_[leave] = -theta;
+      for (std::size_t i : w_nz_) update_infeasible(i);
     } else {
       priced = false;
+      list_infeasible();
     }
 
     // --- Stall detection -> Bland fallback.  The dual objective rises
@@ -734,6 +819,7 @@ Solution SimplexSolver::finish_primal() {
 Solution SimplexSolver::refactored_solution() {
   if (m_ == 0) return solve_bound_only();
   RRP_EXPECTS(last_optimal_);
+  sync_columns();
   factor_current_ = false;  // until the factorisation below succeeds
   refactorize();
   factor_current_ = true;
@@ -889,17 +975,26 @@ bool SimplexSolver::replace_columns(const std::vector<std::size_t>& target) {
 bool SimplexSolver::install_basis(const Basis& start, bool factor_current) {
   if (start.basic.size() != m_ || start.status.size() != total_) return false;
   // Structural consistency: basic entries distinct, in range, and
-  // agreeing with the status vector.
-  std::vector<char> seen(total_, 0);
-  for (std::size_t pos = 0; pos < m_; ++pos) {
-    const std::size_t j = start.basic[pos];
-    if (j >= total_ || seen[j] != 0) return false;
-    if (start.status[j] != BasisStatus::Basic) return false;
-    seen[j] = 1;
+  // marked Basic, and no other column marked Basic.  seen_ is all zero
+  // between calls: the marks made are cleared on every path.
+  seen_.resize(total_, 0);
+  std::size_t marked = 0;
+  bool consistent = true;
+  for (; marked < m_; ++marked) {
+    const std::size_t j = start.basic[marked];
+    if (j >= total_ || seen_[j] != 0 ||
+        start.status[j] != BasisStatus::Basic) {
+      consistent = false;
+      break;
+    }
+    seen_[j] = 1;
   }
-  for (std::size_t j = 0; j < total_; ++j) {
-    if (start.status[j] == BasisStatus::Basic && seen[j] == 0) return false;
-  }
+  for (std::size_t pos = 0; pos < marked; ++pos) seen_[start.basic[pos]] = 0;
+  if (!consistent) return false;
+  if (static_cast<std::size_t>(std::count(start.status.begin(),
+                                          start.status.end(),
+                                          BasisStatus::Basic)) != m_)
+    return false;
 
   for (std::size_t j = 0; j < total_; ++j) {
     BasisStatus s = start.status[j];
@@ -967,6 +1062,7 @@ Solution SimplexSolver::solve_bound_only() const {
 }
 
 Solution SimplexSolver::solve(const SimplexOptions& options) {
+  sync_columns();
   last_warm_ = false;
   last_optimal_ = false;
   factor_current_ = false;
@@ -983,6 +1079,7 @@ Solution SimplexSolver::solve(const SimplexOptions& options) {
 
 Solution SimplexSolver::solve_from(const Basis& start,
                                    const SimplexOptions& options) {
+  sync_columns();
   // Only a solve that ends Optimal or Infeasible sets factor_current_
   // again, so a stop on a limit or a throw anywhere below leaves the
   // factor unusable.

@@ -26,7 +26,17 @@
 // updated reduced costs can differ from fresh pricing in the last bits,
 // and the ratio test breaks near-ties within an absolute 1e-12, so the
 // pivot sequence of the full-pricing scan is kept on the measured
-// workloads but is not guaranteed.
+// workloads but is not guaranteed.  The leaving row comes from a list
+// of the primal infeasible basis positions, built by one scan at the
+// start of a dual run and after a refactorisation and updated over w's
+// nonzeros after each pivot; the pick is that of a scan of all m rows.
+//
+// The program is held flat.  The solver copies the LinearProgram's
+// compressed rows as they are (the pivot row is formed from them) and
+// builds [A -I] column-wise from them once, by a counting sort into
+// one start array and one entry array, slack columns included.
+// add_row appends to the row copy; the column arrays take every row
+// appended since at the start of the next solve, in one rebuild.
 //
 // The basis is held as a sparse LU factorisation (lp::SparseLu) with
 // product-form eta updates per pivot; FTRAN/BTRAN are sparse triangular
@@ -222,8 +232,17 @@ class SimplexSolver {
   /// LinearProgram::add_row stores them).  Its slack is column
   /// num_variables() + num_rows() - 1 and enters basis() as basic, so
   /// after an Optimal solve basis() is a dual-feasible start for
-  /// solve_from on the extended program.
+  /// solve_from on the extended program.  The column arrays take the
+  /// row at the next solve.
   void add_row(const Row& row);
+
+  /// Column j of [A -I] (structural, then slack columns): its (row,
+  /// coeff) entries, ascending by row.  Requires every added row to
+  /// have been through a solve since.
+  std::span<const Entry> column(std::size_t j) const {
+    RRP_EXPECTS(column_rows_ == m_ && j < total_);
+    return columns()[j];
+  }
 
   /// Cold solve from the all-slack basis, identical in behaviour to the
   /// free solve() function: the dual simplex when that start is dual
@@ -266,6 +285,12 @@ class SimplexSolver {
   enum class DualResult { Feasible, Infeasible, IterationLimit, TimeLimit };
 
   Solution solve_bound_only() const;  ///< closed form for m_ == 0
+  /// [A -I] by column; current once sync_columns() has run.
+  Columns columns() const { return Columns{col_start_, col_entries_}; }
+  /// Fills col_start_/col_entries_ from the row-major copy.
+  void build_columns();
+  /// build_columns() when rows were added since it last ran.
+  void sync_columns();
   Solution cold_solve();
   /// Installs `start` as the basis and its factor: by column replacement
   /// in the current factor when `factor_current` says it matches basis_
@@ -308,17 +333,33 @@ class SimplexSolver {
   /// Invariant builds: w_ and rho_ are zero outside their nonzero lists,
   /// which are ascending and duplicate free.
   void check_work_lists() const;
+  /// True when basis position i violates a bound of its variable by
+  /// more than the feasibility tolerance.
+  bool violated(std::size_t i) const;
+  /// infeasible_ from a scan of every basis position.
+  void list_infeasible();
+  /// Adds or removes position i after x_B[i] or basis_[i] changed.
+  void update_infeasible(std::size_t i);
+  /// Invariant builds: infeasible_ matches a scan of every position.
+  void check_infeasible_list() const;
 
   // Problem data (bounds/objective mutable via setters).
   std::size_t m_ = 0;      ///< rows
   std::size_t n_ = 0;      ///< structural variables
   std::size_t total_ = 0;  ///< structural + slack
   Sense sense_ = Sense::Minimize;
-  std::vector<std::vector<Entry>> cols_;  ///< column-sparse A (row indices)
-  /// Row-major copy of the structural part of A: row i's entries
-  /// (structural column, coeff) are rows_[row_start_[i], row_start_[i+1]).
+  /// Row-major copy of the structural part of A, the program's own
+  /// arrays: row i's entries (structural column, coeff) are
+  /// rows_[row_start_[i], row_start_[i+1]).
   std::vector<Entry> rows_;
   std::vector<std::size_t> row_start_;
+  /// [A -I] by column: column j's (row, coeff) entries are
+  /// col_entries_[col_start_[j], col_start_[j + 1]), built from rows_
+  /// by a counting sort, slack columns included.  They cover the first
+  /// column_rows_ rows; add_row() leaves the rest to the next solve.
+  std::vector<std::size_t> col_start_;
+  std::vector<Entry> col_entries_;
+  std::size_t column_rows_ = 0;
   std::vector<double> lb_, ub_;
   std::vector<double> obj_;  ///< structural objective coefficients
 
@@ -352,6 +393,10 @@ class SimplexSolver {
   std::vector<double> rho_;  ///< btran of a unit vector (dual row)
   std::vector<std::size_t> rho_nz_;
   std::vector<double> d_;  ///< run_dual's nonbasic reduced costs
+  /// run_dual's primal infeasible basis positions, unordered, and each
+  /// position's index in that list (m_ when it is feasible).
+  std::vector<std::size_t> infeasible_;
+  std::vector<std::size_t> infeasible_at_;
   /// The dual pivot row: (column, alpha) for each nonbasic column with a
   /// nonzero in rho' [A -I], in ascending column order.
   std::vector<Entry> alpha_row_;
@@ -368,6 +413,7 @@ class SimplexSolver {
   std::vector<std::vector<std::size_t>> replace_nz_;
   std::vector<std::size_t> replace_merge_;
   std::vector<Entry> border_;  ///< add_row(): new row by basis position
+  std::vector<char> seen_;     ///< install_basis() scratch, all zero
 };
 
 }  // namespace rrp::lp

@@ -114,8 +114,7 @@ void list_nonzeros(std::span<const double> x, std::vector<std::size_t>& nz) {
   nz.resize(n);
 }
 
-void SparseLu::factorize(std::size_t m,
-                         const std::vector<std::vector<Entry>>& cols,
+void SparseLu::factorize(std::size_t m, Columns cols,
                          std::span<const std::size_t> basis) {
   m_ = m;
   etas_.clear();
@@ -146,7 +145,7 @@ void SparseLu::factorize(std::size_t m,
   std::vector<std::size_t> row_count(m, 0);
   base_nnz_ = 0;
   for (std::size_t pos = 0; pos < m; ++pos) {
-    const auto& col = cols[basis[pos]];
+    const std::span<const Entry> col = cols[basis[pos]];
     base_nnz_ += col.size();
     for (const Entry& e : col) ++row_count[e.col];
   }

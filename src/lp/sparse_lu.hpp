@@ -68,14 +68,24 @@ namespace rrp::lp {
 /// Lists the indices of x's nonzeros in `nz`, ascending.
 void list_nonzeros(std::span<const double> x, std::vector<std::size_t>& nz);
 
+/// Sparse columns stored flat (compressed sparse columns): column j's
+/// entries, (row, coeff) pairs, are entries[start[j], start[j + 1]).
+struct Columns {
+  std::span<const std::size_t> start;
+  std::span<const Entry> entries;
+
+  std::span<const Entry> operator[](std::size_t j) const {
+    return entries.subspan(start[j], start[j + 1] - start[j]);
+  }
+};
+
 class SparseLu {
  public:
   /// Factorises the basis whose column at position `pos` is
-  /// `cols[basis[pos]]` (entries are (row, coeff) pairs; duplicate rows
-  /// within a column are summed).  Clears any pending eta updates.
-  /// Throws
-  /// rrp::NumericalError when the basis is numerically singular.
-  void factorize(std::size_t m, const std::vector<std::vector<Entry>>& cols,
+  /// `cols[basis[pos]]` (duplicate rows within a column are summed).
+  /// Clears any pending eta updates.  Throws rrp::NumericalError when
+  /// the basis is numerically singular.
+  void factorize(std::size_t m, Columns cols,
                  std::span<const std::size_t> basis);
 
   /// Solves B x = b in place: `x` enters holding b (size m, row space;

@@ -2,7 +2,7 @@
 //
 // Usage mirrors algebraic notation:
 //   LinExpr cost = 0.2 * x + 0.1 * y;
-//   model.add_constraint(x + y == demand, "balance");
+//   model.add_constraint(x + y == demand);
 #pragma once
 
 #include <cstddef>

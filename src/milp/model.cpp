@@ -6,76 +6,89 @@
 
 namespace rrp::milp {
 
-Var Model::add_continuous(double lo, double hi, std::string name) {
+Var Model::add_variable(double lo, double hi, bool integral) {
   RRP_EXPECTS(lo <= hi);
-  vars_.push_back(VarInfo{VarType::Continuous, lo, hi, std::move(name)});
-  return Var{vars_.size() - 1};
+  integral_.push_back(integral ? 1 : 0);
+  return Var{lp_.add_variable(lo, hi, 0.0)};
 }
 
-Var Model::add_integer(double lo, double hi, std::string name) {
-  RRP_EXPECTS(lo <= hi);
-  vars_.push_back(VarInfo{VarType::Integer, lo, hi, std::move(name)});
-  return Var{vars_.size() - 1};
+Var Model::add_continuous(double lo, double hi) {
+  return add_variable(lo, hi, false);
 }
 
-Var Model::add_binary(std::string name) {
-  vars_.push_back(VarInfo{VarType::Binary, 0.0, 1.0, std::move(name)});
-  return Var{vars_.size() - 1};
+Var Model::add_integer(double lo, double hi) {
+  return add_variable(lo, hi, true);
 }
 
-std::size_t Model::add_constraint(Constraint c, std::string name) {
+Var Model::add_binary() { return add_variable(0.0, 1.0, true); }
+
+std::size_t Model::add_constraint(Constraint c) {
   c.expr.normalize();
-  for (const Term& t : c.expr.terms()) RRP_EXPECTS(t.var < vars_.size());
   const double shift = c.expr.constant();
-  StoredConstraint stored;
-  stored.expr = std::move(c.expr);
-  stored.lo = c.lo == -lp::kInfinity ? -lp::kInfinity : c.lo - shift;
-  stored.hi = c.hi == lp::kInfinity ? lp::kInfinity : c.hi - shift;
-  stored.name = std::move(name);
-  constraints_.push_back(std::move(stored));
-  return constraints_.size() - 1;
+  const double lo = c.lo == -lp::kInfinity ? -lp::kInfinity : c.lo - shift;
+  const double hi = c.hi == lp::kInfinity ? lp::kInfinity : c.hi - shift;
+  const std::vector<Term>& terms = c.expr.terms();
+  std::vector<lp::Entry> entries;
+  entries.reserve(terms.size());
+  for (const Term& t : terms) entries.push_back(lp::Entry{t.var, t.coeff});
+  return add_row(entries, lo, hi);
+}
+
+std::size_t Model::add_row(std::span<const lp::Entry> entries, double lo,
+                           double hi) {
+  return lp_.add_row(entries, lo, hi);
 }
 
 void Model::set_objective(LinExpr expr, Objective sense) {
   expr.normalize();
-  for (const Term& t : expr.terms()) RRP_EXPECTS(t.var < vars_.size());
-  objective_ = std::move(expr);
-  sense_ = sense;
+  for (const Term& t : expr.terms()) RRP_EXPECTS(t.var < num_variables());
+  for (std::size_t j = 0; j < num_variables(); ++j) lp_.set_objective(j, 0.0);
+  for (const Term& t : expr.terms()) lp_.set_objective(t.var, t.coeff);
+  objective_constant_ = expr.constant();
+  set_objective_sense(sense);
+}
+
+void Model::set_objective_sense(Objective sense) {
+  lp_.set_sense(sense == Objective::Minimize ? lp::Sense::Minimize
+                                             : lp::Sense::Maximize);
+}
+
+void Model::add_objective_term(Var v, double coeff) {
+  RRP_EXPECTS(v.id < num_variables());
+  lp_.set_objective(v.id, lp_.variable(v.id).objective + coeff);
+}
+
+void Model::reserve(std::size_t variables, std::size_t rows,
+                    std::size_t nonzeros) {
+  integral_.reserve(variables);
+  lp_.reserve(variables, rows, nonzeros);
 }
 
 std::size_t Model::num_integer_variables() const {
   std::size_t n = 0;
-  for (const VarInfo& v : vars_)
-    if (v.type != VarType::Continuous) ++n;
+  for (char f : integral_) n += f != 0 ? 1 : 0;
   return n;
 }
 
 bool Model::is_integral(std::size_t id) const {
-  RRP_EXPECTS(id < vars_.size());
-  return vars_[id].type != VarType::Continuous;
+  RRP_EXPECTS(id < integral_.size());
+  return integral_[id] != 0;
 }
 
 lp::LinearProgram Model::to_lp() const {
   RRP_TRACE_SPAN("milp.to_lp");
-  lp::LinearProgram prog;
-  prog.set_sense(sense_ == Objective::Minimize ? lp::Sense::Minimize
-                                               : lp::Sense::Maximize);
-  for (const VarInfo& v : vars_) prog.add_variable(v.lo, v.hi, 0.0, v.name);
-  for (const Term& t : objective_.terms()) prog.set_objective(t.var, t.coeff);
-  for (const StoredConstraint& c : constraints_) {
-    std::vector<lp::Entry> entries;
-    entries.reserve(c.expr.terms().size());
-    for (const Term& t : c.expr.terms())
-      entries.push_back(lp::Entry{t.var, t.coeff});
-    prog.add_row(std::move(entries), c.lo, c.hi, c.name);
-  }
-  return prog;
+  return lp_;
 }
 
 double Model::objective_value(const std::vector<double>& x) const {
-  RRP_EXPECTS(x.size() == vars_.size());
-  double obj = objective_.constant();
-  for (const Term& t : objective_.terms()) obj += t.coeff * x[t.var];
+  RRP_EXPECTS(x.size() == num_variables());
+  // The nonzero coefficients in ascending column order: the terms of
+  // the normalised objective expression.
+  double obj = objective_constant_;
+  for (std::size_t j = 0; j < x.size(); ++j) {
+    const double c = lp_.variable(j).objective;
+    if (c != 0.0) obj += c * x[j];
+  }
   return obj;
 }
 

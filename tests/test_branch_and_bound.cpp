@@ -49,9 +49,9 @@ TEST(BranchAndBound, SolvesClassicKnapsack) {
   // max 10a + 13b + 7c, 3a + 4b + 2c <= 6, binary -> a=c=1 obj 17? Check:
   // a+c weight 5 value 17; b+c weight 6 value 20. Optimum {b, c} = 20.
   Model m;
-  const Var a = m.add_binary("a");
-  const Var b = m.add_binary("b");
-  const Var c = m.add_binary("c");
+  const Var a = m.add_binary();
+  const Var b = m.add_binary();
+  const Var c = m.add_binary();
   m.set_objective(10.0 * LinExpr(a) + 13.0 * LinExpr(b) + 7.0 * LinExpr(c),
                   Objective::Maximize);
   m.add_constraint(3.0 * LinExpr(a) + 4.0 * LinExpr(b) + 2.0 * LinExpr(c) <=

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -218,7 +219,7 @@ TEST(CutPool, KeysAndRowMergesMatchPrintfAndMapReferences) {
     for (const lp::Entry& e : supports[i]) max_col = std::max(max_col, e.col);
     for (std::size_t j = 0; j <= max_col; ++j)
       model.add_variable(0.0, 1.0, 0.0);
-    const std::vector<lp::Entry>& got =
+    const std::span<const lp::Entry> got =
         model.row(model.add_row(supports[i], cut.lo, cut.hi)).entries;
     const std::vector<lp::Entry> want = map_merge(supports[i]);
     ASSERT_EQ(got.size(), want.size()) << "support " << i;

@@ -123,9 +123,9 @@ TEST(InvariantIntegration, SolverExercisesInvariants) {
   // its internal checks, observable through the process-wide counter.
   const std::uint64_t before = rrp::invariant_checks_executed();
   rrp::lp::LinearProgram lp;
-  const auto x = lp.add_variable(0.0, 10.0, 1.0, "x");
-  const auto y = lp.add_variable(0.0, 10.0, 2.0, "y");
-  lp.add_row({{x, 1.0}, {y, 1.0}}, 4.0, rrp::lp::kInfinity, "cover");
+  const auto x = lp.add_variable(0.0, 10.0, 1.0);
+  const auto y = lp.add_variable(0.0, 10.0, 2.0);
+  lp.add_row({{x, 1.0}, {y, 1.0}}, 4.0, rrp::lp::kInfinity);
   const auto sol = rrp::lp::solve(lp);
   EXPECT_EQ(sol.status, rrp::lp::SolveStatus::Optimal);
   EXPECT_GT(rrp::invariant_checks_executed(), before);

@@ -11,9 +11,8 @@ using namespace rrp::lp;
 TEST(LpModel, AddVariableValidatesBounds) {
   LinearProgram lp;
   EXPECT_THROW(lp.add_variable(2.0, 1.0, 0.0), rrp::ContractViolation);
-  const auto v = lp.add_variable(0.0, 1.0, 3.0, "x");
+  const auto v = lp.add_variable(0.0, 1.0, 3.0);
   EXPECT_EQ(v, 0u);
-  EXPECT_EQ(lp.variable(v).name, "x");
   EXPECT_DOUBLE_EQ(lp.variable(v).objective, 3.0);
 }
 

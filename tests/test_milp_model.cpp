@@ -10,9 +10,9 @@ using namespace rrp::milp;
 
 TEST(MilpModel, VariableKindsTracked) {
   Model m;
-  const Var x = m.add_continuous(0.0, 5.0, "x");
-  const Var y = m.add_integer(0.0, 10.0, "y");
-  const Var z = m.add_binary("z");
+  const Var x = m.add_continuous(0.0, 5.0);
+  const Var y = m.add_integer(0.0, 10.0);
+  const Var z = m.add_binary();
   EXPECT_FALSE(m.is_integral(x.id));
   EXPECT_TRUE(m.is_integral(y.id));
   EXPECT_TRUE(m.is_integral(z.id));
@@ -40,16 +40,15 @@ TEST(MilpModel, RejectsForeignVariables) {
 
 TEST(MilpModel, ToLpPreservesIndexingAndObjective) {
   Model m;
-  const Var x = m.add_continuous(0.0, 4.0, "x");
-  const Var b = m.add_binary("b");
+  const Var x = m.add_continuous(0.0, 4.0);
+  const Var b = m.add_binary();
   m.set_objective(3.0 * LinExpr(x) - 2.0 * LinExpr(b) + 10.0,
                   Objective::Minimize);
-  m.add_constraint(LinExpr(x) + LinExpr(b) <= 4.0, "cap");
+  m.add_constraint(LinExpr(x) + LinExpr(b) <= 4.0);
   const auto lp = m.to_lp();
   EXPECT_EQ(lp.num_variables(), 2u);
   EXPECT_DOUBLE_EQ(lp.variable(x.id).objective, 3.0);
   EXPECT_DOUBLE_EQ(lp.variable(b.id).objective, -2.0);
-  EXPECT_EQ(lp.variable(0).name, "x");
   // The constant is not representable in the LP; objective_value on the
   // model includes it.
   EXPECT_DOUBLE_EQ(m.objective_value({1.0, 1.0}), 11.0);

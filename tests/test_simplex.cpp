@@ -34,8 +34,8 @@ TEST(Simplex, SolvesTextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18, x,y >= 0.
   // Optimum (2, 6) with objective 36 (Dantzig's classic).
   LinearProgram lp;
-  const auto x = lp.add_variable(0.0, kInfinity, 3.0, "x");
-  const auto y = lp.add_variable(0.0, kInfinity, 5.0, "y");
+  const auto x = lp.add_variable(0.0, kInfinity, 3.0);
+  const auto y = lp.add_variable(0.0, kInfinity, 5.0);
   lp.set_sense(Sense::Maximize);
   lp.add_row({{x, 1.0}}, -kInfinity, 4.0);
   lp.add_row({{y, 2.0}}, -kInfinity, 12.0);

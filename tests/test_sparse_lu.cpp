@@ -39,6 +39,23 @@ struct System {
   }
 };
 
+/// Columns flattened as SparseLu::factorize takes them (the simplex's
+/// compressed sparse columns).
+struct Csc {
+  std::vector<std::size_t> start{0};
+  std::vector<Entry> entries;
+
+  explicit Csc(const std::vector<std::vector<Entry>>& cols) {
+    for (const std::vector<Entry>& col : cols) {
+      entries.insert(entries.end(), col.begin(), col.end());
+      start.push_back(entries.size());
+    }
+  }
+  operator rrp::lp::Columns() const {  // NOLINT(google-explicit-constructor)
+    return rrp::lp::Columns{start, entries};
+  }
+};
+
 /// Dense reference solve of B x = r (B^T x = r when `transpose`) by
 /// Gaussian elimination with partial pivoting.
 std::vector<double> dense_solve(const System& sys, std::vector<double> r,
@@ -159,7 +176,7 @@ TEST(SparseLu, MatchesDenseInverseOnRandomBases) {
   for (std::size_t m : {1u, 2u, 5u, 17u, 40u}) {
     System sys = random_system(m, rng);
     SparseLu lu;
-    lu.factorize(sys.m, sys.cols, sys.basis);
+    lu.factorize(sys.m, Csc(sys.cols), sys.basis);
     EXPECT_TRUE(lu.factorized());
     expect_solves_match(sys, lu, rng);
   }
@@ -168,7 +185,7 @@ TEST(SparseLu, MatchesDenseInverseOnRandomBases) {
 TEST(SparseLu, StaircaseBasisFactorsWithoutFill) {
   System sys = staircase_system(30);
   SparseLu lu;
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   // The staircase needs no elimination fill: nnz(L+U) == nnz(B).
   EXPECT_DOUBLE_EQ(lu.fill_ratio(), 1.0);
   rrp::Rng rng(7);
@@ -183,7 +200,7 @@ TEST(SparseLu, DuplicateEntriesWithinColumnAreSummed) {
   sys.cols[0] = {Entry{0, 1.0}, Entry{0, 1.5}, Entry{1, 0.5}};  // row 0: 2.5
   sys.cols[1] = {Entry{1, 2.0}};
   SparseLu lu;
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   std::vector<double> x = {2.5, 4.5};  // B * (1, 2)^T
   ftran(lu, x);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
@@ -194,7 +211,7 @@ TEST(SparseLu, UpdateMatchesRefactorisation) {
   rrp::Rng rng(42);
   System sys = random_system(25, rng);
   SparseLu lu;
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
 
   // Replace a few basis columns by spare columns via product-form
   // updates, mirroring what the simplex does per pivot.
@@ -223,7 +240,7 @@ TEST(SparseLu, UpdateMatchesRefactorisation) {
   expect_solves_match(sys, lu, probe, 1e-8);
 
   SparseLu fresh;
-  fresh.factorize(sys.m, sys.cols, sys.basis);
+  fresh.factorize(sys.m, Csc(sys.cols), sys.basis);
   EXPECT_EQ(fresh.eta_count(), 0u);
   rrp::Rng probe2(99);
   expect_solves_match(sys, fresh, probe2, 1e-8);
@@ -236,7 +253,7 @@ TEST(SparseLu, AppendedRowsMatchTheBorderedBasis) {
   rrp::Rng rng(314);
   System sys = random_system(12, rng);
   SparseLu lu;
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   const auto replace = [&](std::size_t pos) {
     std::vector<Entry> col{Entry{pos, rng.uniform(1.5, 2.5)},
                            Entry{(pos + 5) % sys.m, rng.uniform(-1.0, 1.0)}};
@@ -281,13 +298,13 @@ TEST(SparseLu, SingularBasisThrows) {
   sys.cols[1] = {Entry{0, 2.0}, Entry{1, 2.0}};  // parallel to column 0
   sys.cols[2] = {Entry{2, 1.0}};
   SparseLu lu;
-  EXPECT_THROW(lu.factorize(sys.m, sys.cols, sys.basis),
+  EXPECT_THROW(lu.factorize(sys.m, Csc(sys.cols), sys.basis),
                rrp::NumericalError);
   EXPECT_FALSE(lu.factorized());
 
   // The object must stay usable: refactorising a good basis succeeds.
   sys.cols[1] = {Entry{1, 1.0}};
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   EXPECT_TRUE(lu.factorized());
   std::vector<double> x = {1.0, 1.0, 1.0};
   ftran(lu, x);
@@ -300,7 +317,7 @@ TEST(SparseLu, EmptyBasisIsTrivial) {
   SparseLu lu;
   std::vector<std::vector<Entry>> cols;
   std::vector<std::size_t> basis;
-  lu.factorize(0, cols, basis);
+  lu.factorize(0, Csc(cols), basis);
   std::vector<double> x;
   ftran(lu, x);
   btran(lu, x);
@@ -550,7 +567,7 @@ TEST(SparseLu, FactorMatchesTheDenseStepScan) {
     SparseLu lu;
     DenseStepScanLu ref;
     try {
-      lu.factorize(sys.m, sys.cols, sys.basis);
+      lu.factorize(sys.m, Csc(sys.cols), sys.basis);
     } catch (const rrp::NumericalError&) {
       continue;  // a singular random draw; the reference is not asked
     }
@@ -681,7 +698,7 @@ TEST(SparseLu, SolvesMatchTheFrozenDensePasses) {
       System sys = random_staircase(m, slack_share, rng);
       SparseLu lu;
       DenseStepScanLu ref;
-      lu.factorize(sys.m, sys.cols, sys.basis);
+      lu.factorize(sys.m, Csc(sys.cols), sys.basis);
       ref.factorize(sys.m, sys.cols, sys.basis);
       SCOPED_TRACE("m " + std::to_string(m) + ", slack share " +
                    std::to_string(slack_share));
@@ -729,7 +746,7 @@ TEST(SparseLu, EtaNonzeroAccountingTracksUpdates) {
   rrp::Rng rng(5);
   System sys = random_system(10, rng);
   SparseLu lu;
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   EXPECT_EQ(lu.eta_nonzeros(), 0u);
 
   std::vector<double> w(sys.m, 0.0);
@@ -740,7 +757,7 @@ TEST(SparseLu, EtaNonzeroAccountingTracksUpdates) {
   EXPECT_EQ(lu.eta_count(), 1u);
   EXPECT_EQ(lu.eta_nonzeros(), 2u);  // off-pivot entries only
 
-  lu.factorize(sys.m, sys.cols, sys.basis);
+  lu.factorize(sys.m, Csc(sys.cols), sys.basis);
   EXPECT_EQ(lu.eta_count(), 0u);
   EXPECT_EQ(lu.eta_nonzeros(), 0u);
 }
