@@ -29,7 +29,6 @@ milp::Model build_drrp(const DrrpInstance& inst, DrrpVariables* vars) {
   const bool capacitated =
       inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
   milp::Model model;
-  model.reserve(3 * T, (capacitated ? 3 : 2) * T, (capacitated ? 6 : 5) * T);
   DrrpVariables v;
   v.alpha.reserve(T);
   v.beta.reserve(T);
@@ -101,18 +100,7 @@ milp::Model build_drrp_facility_location(const DrrpInstance& inst,
   }
   const std::size_t T = inst.horizon();
   const bool has_eps = inst.initial_storage > 0.0;
-  std::size_t served = 0;  // positive-demand slots
-  std::size_t arcs = 0;
-  for (std::size_t s = 0; s < T; ++s) {
-    if (inst.demand[s] <= 0.0) continue;
-    ++served;
-    arcs += s + 1;
-  }
   milp::Model model;
-  // chi, arcs and eps_use; a linking row per arc, a demand row per
-  // served slot and the epsilon budget.
-  model.reserve(T + arcs + served, arcs + served + 1,
-                2 * arcs + arcs + 2 * served);
   DrrpFlVariables v;
 
   std::vector<double> hold_prefix(T + 1, 0.0);
@@ -126,7 +114,7 @@ milp::Model build_drrp_facility_location(const DrrpInstance& inst,
   // Arcs t -> s: generate at t, serve demand of slot s.  Cost per GB is
   // the transfer-in of inputs at t plus carrying from t to s.  The arcs
   // of slot s are consecutive columns, so they are served_by[s].
-  v.arcs.reserve(arcs);
+  v.arcs.reserve(T * (T + 1) / 2);
   std::vector<std::size_t> served_by(T + 1, 0);
   for (std::size_t s = 0; s < T; ++s) {
     served_by[s] = v.arcs.size();

@@ -137,8 +137,6 @@ milp::Model build_srrp(const SrrpInstance& inst, SrrpVariables* vars) {
       inst.bottleneck_rate > 0.0 && !inst.bottleneck_capacity.empty();
 
   milp::Model model;
-  model.reserve(3 * (V - 1), (capacitated ? 3 : 2) * (V - 1),
-                (capacitated ? 6 : 5) * (V - 1));
   SrrpVariables v;
   v.alpha.resize(V);
   v.beta.resize(V);
@@ -184,22 +182,7 @@ milp::Model build_srrp_facility_location(const SrrpInstance& inst,
   const bool has_eps = inst.initial_storage > 0.0;
   auto demand_at = [&](std::size_t u) { return inst.demand_at_vertex(u); };
 
-  // One coverage arc from each ancestor-or-self of a demand vertex, so
-  // a vertex at stage s with demand has s arcs.
-  std::size_t served = 0;
-  std::size_t arcs = 0;
-  for (std::size_t u = 1; u < V; ++u) {
-    if (demand_at(u) <= 0.0) continue;
-    ++served;
-    arcs += tree.vertex(u).stage;
-  }
-  const std::size_t leaves = tree.leaves().size();
-  const std::size_t depth = tree.num_stages();
   milp::Model model;
-  model.reserve(3 * (V - 1) + arcs + served,
-                2 * (V - 1) + arcs + served + leaves * (depth + 1),
-                5 * (V - 1) + 3 * arcs + 2 * served +
-                    leaves * depth * (depth + 3));
   SrrpFlVariables v;
   v.alpha.assign(V, milp::Var{});
   v.beta.assign(V, milp::Var{});
@@ -226,7 +209,6 @@ milp::Model build_srrp_facility_location(const SrrpInstance& inst,
   // relaxation nearly integral.  The arcs into vtx are consecutive, from
   // vtx itself up to its stage-1 ancestor: the arc from the ancestor at
   // stage s is v.arcs[first_arc[vtx] + stage(vtx) - s].
-  v.arcs.reserve(arcs);
   std::vector<std::size_t> first_arc(V, 0);
   for (std::size_t vtx = 1; vtx < V; ++vtx) {
     const double dv = demand_at(vtx);
@@ -250,7 +232,7 @@ milp::Model build_srrp_facility_location(const SrrpInstance& inst,
     }
   }
   std::vector<lp::Entry> row;
-  row.reserve(depth + 1);
+  row.reserve(tree.num_stages() + 1);
   for (std::size_t vtx = 1; vtx < V; ++vtx) {
     if (demand_at(vtx) <= 0.0) continue;
     row.clear();

@@ -6,12 +6,6 @@
 
 namespace rrp::lp {
 
-namespace {
-/// add_row() sorts an unsorted row of at most this many entries by
-/// insertion, which is stable and allocates nothing.
-constexpr std::size_t kInsertionSortMax = 32;
-}  // namespace
-
 std::size_t LinearProgram::add_variable(double lo, double hi,
                                         double objective) {
   RRP_EXPECTS(lo <= hi);
@@ -44,20 +38,8 @@ std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
   const auto by_col = [](const Entry& a, const Entry& b) {
     return a.col < b.col;
   };
-  if (!std::is_sorted(first, entries_.end(), by_col)) {
-    if (entries.size() <= kInsertionSortMax) {
-      // Stable without the temporary buffer std::stable_sort allocates.
-      for (auto it = first + 1; it != entries_.end(); ++it) {
-        const Entry e = *it;
-        auto hole = it;
-        for (; hole != first && e.col < (hole - 1)->col; --hole)
-          *hole = *(hole - 1);
-        *hole = e;
-      }
-    } else {
-      std::stable_sort(first, entries_.end(), by_col);
-    }
-  }
+  if (!std::is_sorted(first, entries_.end(), by_col))
+    std::stable_sort(first, entries_.end(), by_col);
   std::size_t kept = begin;
   for (std::size_t i = begin; i < entries_.size();) {
     const std::size_t col = entries_[i].col;
@@ -71,15 +53,6 @@ std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
   row_lo_.push_back(lo);
   row_hi_.push_back(hi);
   return row_lo_.size() - 1;
-}
-
-void LinearProgram::reserve(std::size_t variables, std::size_t rows,
-                            std::size_t nonzeros) {
-  variables_.reserve(variables);
-  row_start_.reserve(rows + 1);
-  row_lo_.reserve(rows);
-  row_hi_.reserve(rows);
-  entries_.reserve(nonzeros);
 }
 
 void LinearProgram::set_objective(std::size_t var, double coeff) {

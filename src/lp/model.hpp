@@ -62,11 +62,6 @@ class LinearProgram {
                    lo, hi);
   }
 
-  /// Reserves room for the given numbers of variables, rows and row
-  /// nonzeros (a hint; nothing else changes).
-  void reserve(std::size_t variables, std::size_t rows,
-               std::size_t nonzeros);
-
   void set_sense(Sense sense) { sense_ = sense; }
   Sense sense() const { return sense_; }
 

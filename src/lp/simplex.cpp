@@ -450,6 +450,36 @@ void SimplexSolver::check_infeasible_list() const {
 #endif
 }
 
+void SimplexSolver::check_leaving_row(std::size_t r, bool below,
+                                      bool bland) const {
+#if RRP_INVARIANTS_ENABLED
+  std::size_t want = m_;
+  bool want_below = false;
+  double worst = 0.0;
+  for (std::size_t i = 0; i < m_; ++i) {
+    const std::size_t bi = basis_[i];
+    const double tol = opt_->feasibility_tol * (1.0 + std::fabs(xb_[i]));
+    const double under = lb_[bi] - xb_[i];
+    const double over = xb_[i] - ub_[bi];
+    const double viol = std::max(under, over);
+    if (!(viol > tol)) continue;  // feasible (a NaN never leaves)
+    if (bland ? want == m_ || bi < basis_[want] : viol > worst) {
+      worst = viol;
+      want = i;
+      want_below = under > over;
+    }
+  }
+  RRP_INVARIANT_MSG(r == want && (r == m_ || below == want_below),
+                    "leaving row " + std::to_string(r) +
+                        " from the infeasible list, " +
+                        std::to_string(want) + " from the full scan");
+#else
+  (void)r;
+  (void)below;
+  (void)bland;
+#endif
+}
+
 double SimplexSolver::current_objective(const std::vector<double>& cost)
     const {
   double obj = 0.0;
@@ -663,6 +693,7 @@ SimplexSolver::DualResult SimplexSolver::run_dual(
         below = under > over;
       }
     }
+    check_leaving_row(r, below, use_bland);
     if (r == m_) return done(DualResult::Feasible);
 
     const std::size_t leave = basis_[r];

@@ -342,6 +342,10 @@ class SimplexSolver {
   void update_infeasible(std::size_t i);
   /// Invariant builds: infeasible_ matches a scan of every position.
   void check_infeasible_list() const;
+  /// Invariant builds: (r, below) is the leaving row a scan of all m
+  /// positions in ascending order picks (largest violation, the first
+  /// position on a tie; under Bland the least variable index).
+  void check_leaving_row(std::size_t r, bool below, bool bland) const;
 
   // Problem data (bounds/objective mutable via setters).
   std::size_t m_ = 0;      ///< rows

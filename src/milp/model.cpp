@@ -58,12 +58,6 @@ void Model::add_objective_term(Var v, double coeff) {
   lp_.set_objective(v.id, lp_.variable(v.id).objective + coeff);
 }
 
-void Model::reserve(std::size_t variables, std::size_t rows,
-                    std::size_t nonzeros) {
-  integral_.reserve(variables);
-  lp_.reserve(variables, rows, nonzeros);
-}
-
 std::size_t Model::num_integer_variables() const {
   std::size_t n = 0;
   for (char f : integral_) n += f != 0 ? 1 : 0;

@@ -59,10 +59,6 @@ class Model {
   /// Adds `c` to the objective constant.
   void add_objective_constant(double c) { objective_constant_ += c; }
 
-  /// Reserves room for the given numbers of variables, rows and row
-  /// nonzeros (a hint; nothing else changes).
-  void reserve(std::size_t variables, std::size_t rows, std::size_t nonzeros);
-
   std::size_t num_variables() const { return lp_.num_variables(); }
   std::size_t num_constraints() const { return lp_.num_rows(); }
   std::size_t num_integer_variables() const;

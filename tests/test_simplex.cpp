@@ -325,6 +325,32 @@ TEST(SimplexCold, DualSimplexProvesInfeasibility) {
   EXPECT_EQ(solve(free_lp).status, SolveStatus::Infeasible);
 }
 
+TEST(SimplexCold, EqualViolationsLeaveInPositionOrder) {
+  // The slack start violates rows 0, 1 and 2 by 3, 2 and 2, and the
+  // infeasible list holds positions 0, 1, 2.  The first pivot (row 0,
+  // x0 enters) clears position 0 only, and the list's swap-removal
+  // moves position 2 into its slot: the list is then 2, 1, with two
+  // exactly equal violations.  A scan of all rows takes position 1
+  // first; x1 enters there, so x2 needs a pivot of its own on row 2:
+  // three pivots.  Taking position 2 first would let x2 clear both
+  // rows in two.
+  LinearProgram lp;
+  const auto x0 = lp.add_variable(0.0, kInfinity, 1.0);
+  const auto x1 = lp.add_variable(0.0, kInfinity, 1.0);
+  const auto x2 = lp.add_variable(0.0, kInfinity, 1.5);
+  lp.add_row({{x0, 1.0}}, 3.0, kInfinity);
+  lp.add_row({{x1, 1.0}, {x2, 1.0}}, 2.0, kInfinity);
+  lp.add_row({{x2, 1.0}}, 2.0, kInfinity);
+  for (const Pricing pricing : {Pricing::Dantzig, Pricing::Bland}) {
+    SimplexOptions opt;
+    opt.pricing = pricing;
+    const Solution sol = solve(lp, opt);
+    ASSERT_TRUE(certified_optimum(lp, sol));
+    EXPECT_EQ(sol.objective, 6.0);
+    EXPECT_EQ(sol.iterations, 3u);
+  }
+}
+
 TEST(SimplexCold, DualStallSwitchKeepsTheOptimum) {
   // dense_lp's slack start is dual feasible, so the cold solve is dual
   // pivots.  stall_limit = 1 moves them onto Bland's rule after the
