@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -144,8 +145,10 @@ core::SrrpInstance srrp_instance(std::size_t width, std::uint64_t seed = 13) {
 }
 
 /// One measured MILP configuration: runs the solve kRepeats times,
-/// records the median wall time and the (deterministic) tree stats of
-/// a single run.
+/// records the median wall time and the tree stats of the last run.
+/// Only jobs = 1 counts are deterministic; a multi-worker row's nodes,
+/// pivots and refactorisations vary from run to run, so the baseline
+/// gives those rows no work cap.
 template <typename Solve>
 Record bench_milp(std::string name, Solve&& solve) {
   Record rec;
@@ -207,6 +210,13 @@ milp::BnbOptions opt_options(bool cuts) {
   return opt;
 }
 
+/// Accepts and drops every event, so an armed event log pays its full
+/// emit cost without any I/O.
+class DiscardSink final : public obs::EventSink {
+ public:
+  void write(const obs::Event&) override {}
+};
+
 }  // namespace
 
 int main() {
@@ -236,13 +246,39 @@ int main() {
     }
   }
 
+  // The same h24 aggregated DRRP solved to optimality with the default
+  // options at 1, 2 and 4 workers: time to optimum of a real tree.
+  // Only the jobs = 1 counts are deterministic.
+  {
+    const auto inst = drrp_instance(24);
+    for (const std::size_t jobs : {std::size_t{1}, std::size_t{2},
+                                   std::size_t{4}}) {
+      milp::BnbOptions opt;
+      opt.jobs = jobs;
+      records.push_back(bench_milp(
+          "drrp_aggregated_h24_opt_jobs" + std::to_string(jobs), [&] {
+            return core::solve_drrp(inst, opt,
+                                    core::DrrpFormulation::Aggregated);
+          }));
+    }
+  }
+
   // Fig. 10's 24-slot facility-location DRRP: an integral relaxation,
   // so one cold node whose pivot count is gated (check_perf.py
-  // max_pivots) — a return to a primal first phase multiplies it.
+  // max_pivots) — a return to a primal first phase multiplies it.  Its
+  // _deadline twin arms a one-hour deadline that never expires, so
+  // every node and pivot polls the real clock: the time difference is
+  // the polling overhead, and the work counts must not move.
   {
     const auto inst = drrp_instance(24);
     records.push_back(bench_milp("drrp_fl_h24_cold", [&] {
       return core::solve_drrp(inst, opt_options(false),
+                              core::DrrpFormulation::FacilityLocation);
+    }));
+    records.push_back(bench_milp("drrp_fl_h24_cold_deadline", [&] {
+      milp::BnbOptions opt = opt_options(false);
+      opt.deadline = common::Deadline::after(3600.0);
+      return core::solve_drrp(inst, opt,
                               core::DrrpFormulation::FacilityLocation);
     }));
   }
@@ -289,12 +325,24 @@ int main() {
   // deterministic node and refactorisation counts, gated by max_nodes /
   // max_refactorizations caps.  A factor rebuilt for every node solve
   // shows as a multiple of the refactorisation count.
+  // Its _obs_armed twin records trace spans and emits events to a
+  // discarding sink, so every span and event site pays its armed cost:
+  // the time difference is the instrumentation overhead, and the work
+  // counts must not move.
   {
     const auto inst = srrp_instance(4, 15);
-    records.push_back(bench_milp("srrp_aggregated_w4_opt", [&] {
+    const auto solve = [&] {
       return core::solve_srrp(inst, opt_options(true),
                               core::SrrpFormulation::Aggregated);
-    }));
+    };
+    records.push_back(bench_milp("srrp_aggregated_w4_opt", solve));
+    auto& recorder = obs::TraceRecorder::instance();
+    recorder.enable();
+    obs::EventLog::instance().set_sink(std::make_shared<DiscardSink>());
+    records.push_back(bench_milp("srrp_aggregated_w4_opt_obs_armed", solve));
+    recorder.disable();
+    recorder.clear();
+    obs::EventLog::instance().set_sink(nullptr);
   }
   {
     const auto inst = srrp_instance(3);

@@ -109,7 +109,7 @@ class Solver {
   Solver(const Model& model, const BnbOptions& opt)
       : model_(model),
         opt_(opt),
-        relaxation_(model.to_lp()),
+        relaxation_(model.lp()),
         sense_mult_(model.objective_sense() == Objective::Minimize ? 1.0
                                                                    : -1.0) {
     for (std::size_t j = 0; j < model.num_variables(); ++j)

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "obs/obs.hpp"
+#include "common/error.hpp"
 
 namespace rrp::milp {
 
@@ -67,11 +67,6 @@ std::size_t Model::num_integer_variables() const {
 bool Model::is_integral(std::size_t id) const {
   RRP_EXPECTS(id < integral_.size());
   return integral_[id] != 0;
-}
-
-lp::LinearProgram Model::to_lp() const {
-  RRP_TRACE_SPAN("milp.to_lp");
-  return lp_;
 }
 
 double Model::objective_value(const std::vector<double>& x) const {

@@ -3,8 +3,8 @@
 // This is the modelling surface used by the DRRP and SRRP builders in
 // rrp::core.  A model is its LP relaxation (an lp::LinearProgram: bounds,
 // objective coefficients and the flat constraint rows) plus the
-// integrality flags and the objective constant; `to_lp()` hands the
-// relaxation to branch & bound as a copy of those arrays.
+// integrality flags and the objective constant; `lp()` hands out the
+// relaxation by reference, and branch & bound copies it once.
 //
 // Rows are added either from a LinExpr constraint (`add_constraint`,
 // the algebraic surface) or as a list of (column, coefficient) entries
@@ -77,7 +77,7 @@ class Model {
 
   /// The LP relaxation (integrality dropped; binary bounds are [0, 1]),
   /// with the variable indexing preserved 1:1.
-  lp::LinearProgram to_lp() const;
+  const lp::LinearProgram& lp() const { return lp_; }
 
   /// Evaluates the objective (including constant) at a point.
   double objective_value(const std::vector<double>& x) const;

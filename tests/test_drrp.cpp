@@ -242,8 +242,8 @@ TEST(DrrpColdPath, FacilityLocationRelaxationIsOneDualSolve) {
   inst.demand = generate_demand(T, DemandConfig{}, rng);
   inst.compute_price.assign(T, 0.4);
   DrrpFlVariables vars;
-  const rrp::lp::LinearProgram lp =
-      build_drrp_facility_location(inst, &vars).to_lp();
+  const rrp::milp::Model model = build_drrp_facility_location(inst, &vars);
+  const rrp::lp::LinearProgram& lp = model.lp();
 
   auto& registry = rrp::obs::global_registry();
   const std::uint64_t primal0 = registry.counter("rrp.lp.pivots.primal").value();

@@ -1,12 +1,13 @@
 // Heap allocations of model lowering, counted by replacing the global
 // operator new/delete of this executable (hence a test binary of its
 // own).  Lowering a 16-slot facility-location DRRP (the perfbench
-// drrp_fl shape) is the builder, to_lp() and the SimplexSolver
-// constructor; the counts are deterministic, so the bounds are work
+// drrp_fl shape) is the builder and the SimplexSolver constructor over
+// the model's LP; the counts are deterministic, so the bounds are work
 // gates: a return of per-row or per-column heap vectors, LinExpr
 // temporaries or formatted names shows up as hundreds of allocations.
-// The nested lowering these replaced made 1,795 allocations for the
-// three steps on this instance, and 1,926 for a whole solve_drrp.
+// The nested lowering these replaced made 1,795 allocations on this
+// instance (builder, LP copy and solver constructor), and 1,926 for a
+// whole solve_drrp.
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
@@ -49,8 +50,8 @@ namespace {
 
 using namespace rrp::core;
 
-/// The flat lowering makes 83 allocations here; the bound leaves 2x.
-constexpr std::size_t kLoweringBound = 166;
+/// The flat lowering makes 78 allocations here; the bound leaves 2x.
+constexpr std::size_t kLoweringBound = 156;
 /// A whole solve_drrp makes 221; the bound leaves 2x.
 constexpr std::size_t kSolveBound = 442;
 
@@ -85,14 +86,13 @@ TEST(LoweringAllocations, FacilityLocationLoweringStaysFlat) {
   {
     DrrpFlVariables vars;
     rrp::lp::SimplexSolver solver(
-        build_drrp_facility_location(inst, &vars).to_lp());
+        build_drrp_facility_location(inst, &vars).lp());
   }
   std::size_t rows = 0;
   const std::size_t n = allocations([&] {
     DrrpFlVariables vars;
     const rrp::milp::Model model = build_drrp_facility_location(inst, &vars);
-    const rrp::lp::LinearProgram lp = model.to_lp();
-    rrp::lp::SimplexSolver solver(lp);
+    rrp::lp::SimplexSolver solver(model.lp());
     rows = solver.num_rows();
   });
   EXPECT_GT(rows, 100u);

@@ -450,7 +450,7 @@ void expect_columns_equal(const lp::SimplexSolver& solver,
 }
 
 void expect_same_lowering(const milp::Model& model, const NestedModel& ref) {
-  const lp::LinearProgram got = model.to_lp();
+  const lp::LinearProgram& got = model.lp();
   const NestedLp want = ref.to_lp();
   EXPECT_EQ(got.sense(), want.sense);
   ASSERT_EQ(got.num_variables(), want.variables.size());
@@ -574,7 +574,7 @@ TEST(LoweringReference, RootCutRowsAppendLikeTheNestedPath) {
   const core::DrrpInstance inst = drrp_instance(5, 16, 0.0);
   core::DrrpVariables vars;
   const milp::Model model = core::build_drrp(inst, &vars);
-  lp::LinearProgram prog = model.to_lp();
+  lp::LinearProgram prog = model.lp();
   NestedLp ref = nested_drrp(inst).to_lp();
   milp::LotSizingCutGenerator cuts;
   std::vector<milp::LotSlot> slots;
@@ -646,7 +646,7 @@ TEST(LoweringReference, HandMadeRowsMergeLikeTheStableSort) {
     ref.add_row(row, -1.0, 2.0);
   }
   expect_rows_equal(prog, ref);
-  expect_rows_equal(model.to_lp(), ref);
+  expect_rows_equal(model.lp(), ref);
   EXPECT_TRUE(prog.row(1).entries.size() == 1 &&
               prog.row(1).entries[0].col == 2);
   expect_columns_equal(lp::SimplexSolver(prog), ref);

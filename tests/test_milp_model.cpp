@@ -26,7 +26,7 @@ TEST(MilpModel, ConstraintConstantFoldedIntoBounds) {
   const Var x = m.add_continuous(0.0, 10.0);
   // x + 2 <= 7  ->  x <= 5.
   m.add_constraint(LinExpr(x) + 2.0 <= 7.0);
-  const auto lp = m.to_lp();
+  const auto& lp = m.lp();
   EXPECT_DOUBLE_EQ(lp.row(0).hi, 5.0);
 }
 
@@ -45,7 +45,7 @@ TEST(MilpModel, ToLpPreservesIndexingAndObjective) {
   m.set_objective(3.0 * LinExpr(x) - 2.0 * LinExpr(b) + 10.0,
                   Objective::Minimize);
   m.add_constraint(LinExpr(x) + LinExpr(b) <= 4.0);
-  const auto lp = m.to_lp();
+  const auto& lp = m.lp();
   EXPECT_EQ(lp.num_variables(), 2u);
   EXPECT_DOUBLE_EQ(lp.variable(x.id).objective, 3.0);
   EXPECT_DOUBLE_EQ(lp.variable(b.id).objective, -2.0);
@@ -59,14 +59,14 @@ TEST(MilpModel, MaximizeSensePropagates) {
   Model m;
   const Var x = m.add_continuous(0.0, 1.0);
   m.set_objective(LinExpr(x), Objective::Maximize);
-  EXPECT_EQ(m.to_lp().sense(), rrp::lp::Sense::Maximize);
+  EXPECT_EQ(m.lp().sense(), rrp::lp::Sense::Maximize);
 }
 
 TEST(MilpModel, DuplicateTermsMergedInConstraints) {
   Model m;
   const Var x = m.add_continuous(0.0, 10.0);
   m.add_constraint(LinExpr(x) + LinExpr(x) <= 6.0);
-  const auto lp = m.to_lp();
+  const auto& lp = m.lp();
   ASSERT_EQ(lp.row(0).entries.size(), 1u);
   EXPECT_DOUBLE_EQ(lp.row(0).entries[0].coeff, 2.0);
 }

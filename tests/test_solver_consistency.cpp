@@ -39,7 +39,7 @@ TEST_P(LpRelaxationProperties, FacilityLocationRelaxationIsIntegral) {
   inst.initial_storage = 0.0;
   core::DrrpFlVariables vars;
   const auto model = core::build_drrp_facility_location(inst, &vars);
-  const auto lp = model.to_lp();
+  const auto& lp = model.lp();
   const auto sol = lp::solve(lp);
   ASSERT_EQ(sol.status, lp::SolveStatus::Optimal);
   for (const auto& chi : vars.chi) {
@@ -56,7 +56,7 @@ TEST_P(LpRelaxationProperties, AggregatedRelaxationLowerBoundsOptimum) {
   const auto inst = random_drrp(72000 + GetParam(), 10);
   core::DrrpVariables vars;
   const auto model = core::build_drrp(inst, &vars);
-  const auto sol = lp::solve(model.to_lp());
+  const auto sol = lp::solve(model.lp());
   ASSERT_EQ(sol.status, lp::SolveStatus::Optimal);
   const auto ww = core::solve_drrp_wagner_whitin(inst);
   const double relaxation =
@@ -71,8 +71,8 @@ TEST_P(LpRelaxationProperties, FlRelaxationBoundsEpsilonInstances) {
   inst.initial_storage = 0.4;
   const auto fl_model = core::build_drrp_facility_location(inst, nullptr);
   const auto agg_model = core::build_drrp(inst, nullptr);
-  const auto fl = lp::solve(fl_model.to_lp());
-  const auto agg = lp::solve(agg_model.to_lp());
+  const auto fl = lp::solve(fl_model.lp());
+  const auto agg = lp::solve(agg_model.lp());
   ASSERT_EQ(fl.status, lp::SolveStatus::Optimal);
   ASSERT_EQ(agg.status, lp::SolveStatus::Optimal);
   const auto ww = core::solve_drrp_wagner_whitin(inst);
@@ -100,8 +100,8 @@ TEST(SolverConsistency, SrrpStrengthenedRelaxationBeatsAggregated) {
 
   const auto agg_model = core::build_srrp(inst, nullptr);
   const auto fl_model = core::build_srrp_facility_location(inst, nullptr);
-  const auto agg_sol = lp::solve(agg_model.to_lp());
-  const auto fl_sol = lp::solve(fl_model.to_lp());
+  const auto agg_sol = lp::solve(agg_model.lp());
+  const auto fl_sol = lp::solve(fl_model.lp());
   ASSERT_EQ(agg_sol.status, lp::SolveStatus::Optimal);
   ASSERT_EQ(fl_sol.status, lp::SolveStatus::Optimal);
   const double agg_bound = agg_sol.objective + agg_model.objective_constant();
