@@ -15,18 +15,15 @@ std::size_t LinearProgram::add_variable(double lo, double hi,
   return variables_.size() - 1;
 }
 
-std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
-                                   double hi) {
+std::size_t SparseRows::add(std::span<const Entry> entries, double lo,
+                            double hi) {
   RRP_EXPECTS(lo <= hi);
   RRP_EXPECTS(lo < kInfinity && hi > -kInfinity);
   const std::less<const Entry*> before;
   RRP_EXPECTS(entries.empty() || entries_.empty() ||
               before(entries.data(), entries_.data()) ||
               !before(entries.data(), entries_.data() + entries_.size()));
-  for (const Entry& e : entries) {
-    RRP_EXPECTS(e.col < variables_.size());
-    RRP_EXPECTS(std::isfinite(e.coeff));
-  }
+  for (const Entry& e : entries) RRP_EXPECTS(std::isfinite(e.coeff));
   // Merge duplicate columns in place at the end of the entry array.
   // Each column's entries keep their input order (a stable sort, and
   // only when the columns are not already ascending) and every sum
@@ -49,10 +46,27 @@ std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
     if (sum != 0.0) entries_[kept++] = Entry{col, sum};
   }
   entries_.resize(kept);
-  row_start_.push_back(kept);
-  row_lo_.push_back(lo);
-  row_hi_.push_back(hi);
-  return row_lo_.size() - 1;
+  start_.push_back(kept);
+  lo_.push_back(lo);
+  hi_.push_back(hi);
+  return lo_.size() - 1;
+}
+
+double SparseRows::max_violation(const std::vector<double>& x) const {
+  double worst = 0.0;
+  for (std::size_t r = 0; r < size(); ++r) {
+    double ax = 0.0;
+    for (const Entry& e : (*this)[r].entries) ax += e.coeff * x[e.col];
+    worst = std::max(worst, lo_[r] - ax);
+    worst = std::max(worst, ax - hi_[r]);
+  }
+  return worst;
+}
+
+std::size_t LinearProgram::add_row(std::span<const Entry> entries, double lo,
+                                   double hi) {
+  for (const Entry& e : entries) RRP_EXPECTS(e.col < variables_.size());
+  return rows_.add(entries, lo, hi);
 }
 
 void LinearProgram::set_objective(std::size_t var, double coeff) {
@@ -84,13 +98,7 @@ double LinearProgram::max_violation(const std::vector<double>& x) const {
     worst = std::max(worst, variables_[i].lo - x[i]);
     worst = std::max(worst, x[i] - variables_[i].hi);
   }
-  for (std::size_t r = 0; r < num_rows(); ++r) {
-    double ax = 0.0;
-    for (const Entry& e : row(r).entries) ax += e.coeff * x[e.col];
-    worst = std::max(worst, row_lo_[r] - ax);
-    worst = std::max(worst, ax - row_hi_[r]);
-  }
-  return std::max(worst, 0.0);
+  return std::max(worst, rows_.max_violation(x));
 }
 
 const char* to_string(SolveStatus status) {

@@ -41,10 +41,37 @@ struct Variable {
   double objective = 0.0;
 };
 
-/// The rows are stored once, flat (compressed sparse rows): row r's
-/// entries are entries()[row_starts()[r], row_starts()[r + 1]), with
-/// distinct columns in ascending order.  lp::SimplexSolver copies these
-/// arrays as they are.
+/// Ranged rows stored flat (compressed sparse rows): row r's entries
+/// are entries()[starts()[r], starts()[r + 1]), with distinct columns
+/// in ascending order.
+class SparseRows {
+ public:
+  /// Appends the row lo <= entries . x <= hi.  Duplicate columns are
+  /// summed, in input order from +0.0, and zero sums dropped.
+  /// `entries` must not view this set's own entries.
+  std::size_t add(std::span<const Entry> entries, double lo, double hi);
+
+  std::size_t size() const { return lo_.size(); }
+  Row operator[](std::size_t r) const {
+    return Row{std::span<const Entry>(entries_).subspan(
+                   start_[r], start_[r + 1] - start_[r]),
+               lo_[r], hi_[r]};
+  }
+  std::span<const std::size_t> starts() const { return start_; }
+  std::span<const Entry> entries() const { return entries_; }
+
+  /// Max row violation at a point (which covers every column the rows
+  /// name); 0 means every row holds.
+  double max_violation(const std::vector<double>& x) const;
+
+ private:
+  std::vector<std::size_t> start_{0};
+  std::vector<Entry> entries_;
+  std::vector<double> lo_, hi_;
+};
+
+/// The rows are stored once, flat (see SparseRows); lp::SimplexSolver
+/// copies those arrays as they are.
 class LinearProgram {
  public:
   /// Adds a variable with bounds [lo, hi] and the given objective
@@ -69,16 +96,13 @@ class LinearProgram {
   void set_variable_bounds(std::size_t var, double lo, double hi);
 
   std::size_t num_variables() const { return variables_.size(); }
-  std::size_t num_rows() const { return row_lo_.size(); }
+  std::size_t num_rows() const { return rows_.size(); }
 
   const Variable& variable(std::size_t i) const { return variables_[i]; }
-  Row row(std::size_t r) const {
-    return Row{std::span<const Entry>(entries_).subspan(
-                   row_start_[r], row_start_[r + 1] - row_start_[r]),
-               row_lo_[r], row_hi_[r]};
-  }
-  std::span<const std::size_t> row_starts() const { return row_start_; }
-  std::span<const Entry> entries() const { return entries_; }
+  Row row(std::size_t r) const { return rows_[r]; }
+  const SparseRows& rows() const { return rows_; }
+  std::span<const std::size_t> row_starts() const { return rows_.starts(); }
+  std::span<const Entry> entries() const { return rows_.entries(); }
 
   /// Evaluates the objective at a point (no feasibility check).
   double objective_value(const std::vector<double>& x) const;
@@ -88,9 +112,7 @@ class LinearProgram {
 
  private:
   std::vector<Variable> variables_;
-  std::vector<std::size_t> row_start_{0};
-  std::vector<Entry> entries_;
-  std::vector<double> row_lo_, row_hi_;
+  SparseRows rows_;
   Sense sense_ = Sense::Minimize;
 };
 

@@ -263,7 +263,12 @@ class SimplexSolver {
   /// factorisation of its basis.  A solve reuses the factor its
   /// predecessors left, so the last bits of its answer depend on them;
   /// this answer depends only on the basis, the bounds and the
-  /// objective.  Requires the last solve to have ended Optimal; throws
+  /// objective.  Branch & bound calls it where those predecessors vary:
+  /// for incumbents from nodes below the root, whose worker's earlier
+  /// nodes depend on scheduling, and in every root cut round, whose
+  /// separator's ties would flip on last bits.  Root node points skip
+  /// it: their factor history is the same at every jobs count.
+  /// Requires the last solve to have ended Optimal; throws
   /// rrp::NumericalError if the fresh factorisation finds the basis
   /// singular.
   Solution refactored_solution();

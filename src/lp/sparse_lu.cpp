@@ -140,50 +140,70 @@ void SparseLu::factorize(std::size_t m, Columns cols,
   }
 
   // Static Markowitz data: row counts over the basis columns, and a
-  // column order by ascending nonzero count (stable, so ties resolve by
-  // basis position — deterministic across runs).
-  std::vector<std::size_t> row_count(m, 0);
+  // column order by ascending nonzero count, ties by ascending basis
+  // position (a counting sort: std::stable_sort's order, deterministic
+  // across runs).
+  row_count_.assign(m, 0);
   base_nnz_ = 0;
+  factor_nnz_ = 0;
+  std::size_t longest = 0;
   for (std::size_t pos = 0; pos < m; ++pos) {
     const std::span<const Entry> col = cols[basis[pos]];
     base_nnz_ += col.size();
-    for (const Entry& e : col) ++row_count[e.col];
+    longest = std::max(longest, col.size());
+    for (const Entry& e : col) ++row_count_[e.col];
   }
-  std::vector<std::size_t> order;
-  order.reserve(m);
-  for (std::size_t pos = 0; pos < m; ++pos) order.push_back(pos);
-  factor_nnz_ = 0;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return cols[basis[a]].size() < cols[basis[b]].size();
-                   });
+  // count_start_[c + 1] first counts the columns with c entries; after
+  // the prefix sum count_start_[c] is the first slot of those columns,
+  // and the placement advances it.
+  count_start_.assign(longest + 2, 0);
+  for (std::size_t pos = 0; pos < m; ++pos)
+    ++count_start_[cols[basis[pos]].size() + 1];
+  for (std::size_t c = 1; c <= longest + 1; ++c)
+    count_start_[c] += count_start_[c - 1];
+  order_.resize(m);
+  for (std::size_t pos = 0; pos < m; ++pos)
+    order_[count_start_[cols[basis[pos]].size()]++] = pos;
 
-  // Left-looking elimination over a dense scratch column.  `touched`
-  // tracks every row written so the scratch is re-zeroed in O(nnz).
-  // A write that makes a pivoted row nonzero marks its step
-  // (`reached[s] = k`), and [lo, hi) bounds the steps marked for the
-  // current column k.
-  std::vector<std::size_t> touched;
-  touched.reserve(m);
-  std::vector<std::size_t> reached(m, m);
+  // Left-looking elimination over a dense scratch column.  `touched_`
+  // lists every row written so the scratch is re-zeroed in O(nnz).  A
+  // write that makes a pivoted row nonzero marks its step (reached_[s]
+  // = 1), and [lo, hi) bounds the steps marked for the current column;
+  // the scan clears each mark it visits.
+  reached_.resize(m, 0);
   std::size_t lo = 0;
   std::size_t hi = 0;
-  const auto write = [&](std::size_t k, std::size_t r) {
+  const auto write = [&](std::size_t r) {
     if (work_[r] != 0.0) return;
-    touched.push_back(r);
+    touched_.push_back(r);
     const std::size_t s = step_of_row_[r];
     if (s == m) return;
-    reached[s] = k;
+    reached_[s] = 1;
     lo = std::min(lo, s);
     hi = std::max(hi, s + 1);
   };
   for (std::size_t k = 0; k < m; ++k) {
-    const std::size_t pos = order[k];
-    touched.clear();
+    const std::size_t pos = order_[k];
+    const std::span<const Entry> col = cols[basis[pos]];
+    // A singleton step: one entry, on an unpivoted row, large enough to
+    // pivot on.  The elimination below would reach no step, find only
+    // that row eligible and leave L and U empty; the same diagonal is
+    // assigned directly.  A slack basis consists of these.
+    if (col.size() == 1 && step_of_row_[col[0].col] == m &&
+        std::fabs(col[0].coeff) >= kSingularTol) {
+      row_of_step_[k] = col[0].col;
+      step_of_row_[col[0].col] = k;
+      col_of_step_[k] = pos;
+      udiag_[k] = col[0].coeff;
+      lstart_.push_back(lent_.size());
+      ustart_.push_back(uent_.size());
+      continue;
+    }
+    touched_.clear();
     lo = m;
     hi = 0;
-    for (const Entry& e : cols[basis[pos]]) {
-      write(k, e.col);
+    for (const Entry& e : col) {
+      write(e.col);
       work_[e.col] += e.coeff;
     }
     // Apply the reached elimination steps in ascending order; L
@@ -193,13 +213,14 @@ void SparseLu::factorize(std::size_t m, Columns cols,
     // has a zero pivot-row value: the arithmetic, and its order, is that
     // of applying every step s < k with a nonzero value.
     for (std::size_t s = lo; s < hi; ++s) {
-      if (reached[s] != k) continue;
+      if (reached_[s] == 0) continue;
+      reached_[s] = 0;
       const double val = work_[row_of_step_[s]];
       if (val == 0.0) continue;
       uent_.push_back(Entry{s, val});
       for (std::size_t q = lstart_[s]; q < lstart_[s + 1]; ++q) {
         const Entry& l = lent_[q];
-        write(k, l.col);
+        write(l.col);
         work_[l.col] -= l.coeff * val;
       }
     }
@@ -207,24 +228,24 @@ void SparseLu::factorize(std::size_t m, Columns cols,
     // eligible candidates compete on static sparsity, then magnitude,
     // then row index (full determinism).
     double vmax = 0.0;
-    for (std::size_t r : touched) {
+    for (std::size_t r : touched_) {
       if (step_of_row_[r] != m) continue;
       vmax = std::max(vmax, std::fabs(work_[r]));
     }
     if (vmax < kSingularTol) {
-      for (std::size_t r : touched) work_[r] = 0.0;
+      for (std::size_t r : touched_) work_[r] = 0.0;
       udiag_.clear();  // leave the object in a "not factorized" state
       throw NumericalError("SparseLu: singular basis at step " +
                            std::to_string(k));
     }
     const double eligible = kPivotThreshold * vmax;
     std::size_t prow = m;
-    for (std::size_t r : touched) {
+    for (std::size_t r : touched_) {
       if (step_of_row_[r] != m) continue;
       const double v = std::fabs(work_[r]);
       if (v < eligible || v < kSingularTol) continue;
-      if (prow == m || row_count[r] < row_count[prow] ||
-          (row_count[r] == row_count[prow] &&
+      if (prow == m || row_count_[r] < row_count_[prow] ||
+          (row_count_[r] == row_count_[prow] &&
            (v > std::fabs(work_[prow]) ||
             (v == std::fabs(work_[prow]) && r < prow)))) {
         prow = r;
@@ -235,7 +256,7 @@ void SparseLu::factorize(std::size_t m, Columns cols,
     step_of_row_[prow] = k;
     col_of_step_[k] = pos;
     udiag_[k] = diag;
-    for (std::size_t r : touched) {
+    for (std::size_t r : touched_) {
       const double v = work_[r];
       work_[r] = 0.0;
       if (r == prow || v == 0.0 || step_of_row_[r] != m) continue;

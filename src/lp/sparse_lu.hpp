@@ -10,15 +10,21 @@
 //
 //   * factorize() runs a left-looking elimination with threshold
 //     partial pivoting.  Columns are processed in ascending-nonzero
-//     order and the pivot row is chosen among numerically eligible
-//     candidates (|v| >= tau * max) by the smallest static row count —
-//     a cheap Markowitz proxy that keeps fill-in near zero on
-//     staircase bases.  Each column applies only the earlier steps its
+//     order (a counting sort, ties by ascending basis position: a
+//     stable sort's order) and the pivot row is chosen among
+//     numerically eligible candidates (|v| >= tau * max) by the
+//     smallest static row count — a cheap Markowitz proxy that keeps
+//     fill-in near zero on staircase bases.  A one-entry column on an
+//     unpivoted row with a usable entry is a singleton step: its
+//     diagonal is assigned directly (the all-slack B = -I is m of
+//     them).  Every other column applies only the earlier steps its
 //     nonzeros reach: a write into a pivoted row marks that row's step,
 //     and the column scans just the span of marked steps, in ascending
 //     order.  A column costs its own nonzeros and fill plus that span
-//     rather than every earlier step (the all-slack B = -I visits
-//     none), and L and U are the same doubles a full scan gives.
+//     rather than every earlier step, and L and U are the same doubles
+//     a full scan gives.  The scratch is kept across calls, so a
+//     refactorisation allocates nothing once the factor has reached
+//     its size.
 //   * ftran()/btran() solve B x = b and B^T y = c by permuted sparse
 //     triangular solves, then replay the product-form eta file.  Both
 //     take the vector together with its nonzero list: the list enters
@@ -172,6 +178,15 @@ class SparseLu {
   mutable std::vector<double> work_;
   mutable std::vector<std::uint64_t> step_marks_;
   mutable std::vector<std::uint64_t> pos_marks_;
+  // factorize() scratch, kept so a refactorisation allocates nothing
+  // once the factor has reached its size: row counts, reached-step
+  // marks (zero between calls), the column order, its counting sort's
+  // bucket starts, and the rows the current column wrote.
+  std::vector<std::size_t> row_count_;
+  std::vector<char> reached_;
+  std::vector<std::size_t> order_;
+  std::vector<std::size_t> count_start_;
+  std::vector<std::size_t> touched_;
 };
 
 }  // namespace rrp::lp

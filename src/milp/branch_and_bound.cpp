@@ -51,7 +51,11 @@ struct NodeBoundGreater {
 /// this worker processes, and the worker's tally, summed into
 /// MipResult::work by Solver::run() after the join.
 struct WorkerState {
-  explicit WorkerState(const lp::LinearProgram& lp) : solver(lp) {}
+  /// The solver over the model's LP with the root cut rows appended.
+  WorkerState(const lp::LinearProgram& lp, const lp::SparseRows& cuts)
+      : solver(lp) {
+    for (std::size_t r = 0; r < cuts.size(); ++r) solver.add_row(cuts[r]);
+  }
 
   lp::SimplexSolver solver;
   SolveWork work;  ///< run() fills in factor; nodes_count_ counts nodes
@@ -109,7 +113,6 @@ class Solver {
   Solver(const Model& model, const BnbOptions& opt)
       : model_(model),
         opt_(opt),
-        relaxation_(model.lp()),
         sense_mult_(model.objective_sense() == Objective::Minimize ? 1.0
                                                                    : -1.0) {
     for (std::size_t j = 0; j < model.num_variables(); ++j)
@@ -130,24 +133,26 @@ class Solver {
   void compute_incumbent_feas_tol() {
 #if RRP_INVARIANTS_ENABLED
     double max_row_l1 = 0.0;
-    for (std::size_t r = 0; r < relaxation_.num_rows(); ++r) {
-      double l1 = 0.0;
-      for (const lp::Entry& e : relaxation_.row(r).entries)
-        l1 += std::fabs(e.coeff);
-      max_row_l1 = std::max(max_row_l1, l1);
+    for (const lp::SparseRows* rows :
+         {&model_.lp().rows(), &std::as_const(cuts_)}) {
+      for (std::size_t r = 0; r < rows->size(); ++r) {
+        double l1 = 0.0;
+        for (const lp::Entry& e : (*rows)[r].entries) l1 += std::fabs(e.coeff);
+        max_row_l1 = std::max(max_row_l1, l1);
+      }
     }
     incumbent_feas_tol_ =
         1e-6 + 10.0 * opt_.integrality_tol * (1.0 + max_row_l1);
 #endif
   }
 
-  /// Root cut loop on `solver` (worker 0's, built over relaxation_):
-  /// solve the root relaxation, separate violated valid inequalities,
-  /// append them as rows to relaxation_ and to the solver in place, and
-  /// re-optimise from the extended parent basis (new cut slacks enter
-  /// basic — the extension is block triangular, hence nonsingular and
-  /// dual feasible) until no cut is violated or the round limit is hit.
-  /// Runs strictly before any other worker copies the relaxation.
+  /// Root cut loop on worker 0's solver: solve the root relaxation,
+  /// separate violated valid inequalities, append them as rows to cuts_
+  /// and to the solver in place, and re-optimise from the extended
+  /// parent basis (new cut slacks enter basic — the extension is block
+  /// triangular, hence nonsingular and dual feasible) until no cut is
+  /// violated or the round limit is hit.  Runs strictly before any
+  /// other worker's solver is built.
   /// Returns the final root basis for seeding the tree (null when
   /// unusable) and sets `root_bound` to the strengthened relaxation
   /// value (internal minimisation space).
@@ -155,7 +160,9 @@ class Solver {
                                                  double& root_bound);
 
   // -- tree search ------------------------------------------------------
-  void worker(std::size_t w, WorkerState& ws);
+  /// Pops and processes nodes until the search stops or the tree is
+  /// exhausted; with `one_node` it returns after the first node.
+  void worker(std::size_t w, WorkerState& ws, bool one_node = false);
   void process_node(WorkerState& ws, Node& node, std::size_t node_number);
 
   /// Applies the node's integer bounds to the worker's solver and runs
@@ -174,17 +181,22 @@ class Solver {
   std::size_t pick_branch_var(const std::vector<double>& x) const;
 
   void try_rounding(WorkerState& ws, const Node& node,
-                    const std::vector<double>& x, const lp::Basis* start);
+                    const std::vector<double>& x, const lp::Basis* start,
+                    bool root);
 
   void offer_incumbent(const std::vector<double>& x, double internal_obj);
 
   /// Offers the worker's Optimal LP point `x` when it beats the
   /// incumbent.  Node solves reuse the factor the worker's earlier solves
-  /// left, so the last bits of `x` depend on which nodes that worker saw;
-  /// the offered point is re-derived from a fresh factorisation of its
-  /// basis, which makes the incumbent, and the objective returned, the
-  /// same for every jobs count.
-  void offer_lp_point(WorkerState& ws, const std::vector<double>& x);
+  /// left, so below the root the last bits of `x` depend on which nodes
+  /// that worker saw; such a point is re-derived from a fresh
+  /// factorisation of its basis, which makes the incumbent, and the
+  /// objective returned, the same for every jobs count.  A `root` point
+  /// is offered as solved: worker 0 runs the root node straight after
+  /// the cut loop, before any other worker starts, so its factor
+  /// history is the same at every jobs count.
+  void offer_lp_point(WorkerState& ws, const std::vector<double>& x,
+                      bool root);
 
   double prune_margin(double incumbent) const {
     return std::max(opt_.absolute_gap,
@@ -215,9 +227,10 @@ class Solver {
 
   const Model& model_;
   const BnbOptions& opt_;
-  /// The LP relaxation.  Extended by root cuts before the tree search
-  /// starts; immutable from the moment workers copy it.
-  lp::LinearProgram relaxation_;
+  /// The root cut rows: with model_.lp(), the LP relaxation.  Extended
+  /// before the tree search starts; immutable from the moment workers'
+  /// solvers are built from it.
+  lp::SparseRows cuts_;
   lp::SimplexOptions lp_opt_;  ///< opt_.lp with the inherited deadline
   double sense_mult_;
   std::vector<std::size_t> int_vars_;
@@ -261,10 +274,10 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(WorkerState& ws,
   lp::SimplexSolver& solver = ws.solver;
   RRP_TRACE_SPAN("bnb.root_cuts");
   // Every round separates at the root point re-derived from a fresh
-  // factorisation, as incumbents are: the separator's alpha* < delta *
-  // chi* test meets exact ties at vertices and would flip on the last
-  // bits the factor history leaves, so this keeps the cut set a
-  // function of the root basis alone.
+  // factorisation, as incumbents below the root are: the separator's
+  // alpha* < delta * chi* test meets exact ties at vertices and would
+  // flip on the last bits the factor history leaves, so this keeps the
+  // cut set a function of the root basis alone.
   lp::Solution sol;
   try {
     sol = solver.solve(lp_opt_);
@@ -286,8 +299,8 @@ std::shared_ptr<const lp::Basis> Solver::run_root_cuts(WorkerState& ws,
     std::size_t added = 0;
     for (const Cut& c : cuts) {
       if (!pool.add(c)) continue;
-      const std::size_t r = relaxation_.add_row(c.entries, c.lo, c.hi);
-      solver.add_row(relaxation_.row(r));
+      const std::size_t r = cuts_.add(c.entries, c.lo, c.hi);
+      solver.add_row(cuts_[r]);
       ++added;
     }
     RRP_TRACE_ARG("added", added);
@@ -434,16 +447,22 @@ void Solver::offer_incumbent(const std::vector<double>& x,
   for (std::size_t j : int_vars_)
     RRP_INVARIANT(incumbent_x_[j] ==  // rrp-lint: allow(float-equality)
                   std::round(incumbent_x_[j]));
-  const double viol = relaxation_.max_violation(incumbent_x_);
+  const double viol = std::max(model_.lp().max_violation(incumbent_x_),
+                               cuts_.max_violation(incumbent_x_));
   RRP_INVARIANT_MSG(viol <= incumbent_feas_tol_,
                     "incumbent violates the model by " + std::to_string(viol));
 #endif
 }
 
-void Solver::offer_lp_point(WorkerState& ws, const std::vector<double>& x) {
-  if (sense_mult_ * model_.objective_value(x) >=
-      incumbent_atomic_.load(std::memory_order_relaxed))
+void Solver::offer_lp_point(WorkerState& ws, const std::vector<double>& x,
+                            bool root) {
+  const double internal_obj = sense_mult_ * model_.objective_value(x);
+  if (internal_obj >= incumbent_atomic_.load(std::memory_order_relaxed))
     return;
+  if (root) {
+    offer_incumbent(x, internal_obj);
+    return;
+  }
   lp::Solution exact;
   try {
     exact = ws.solver.refactored_solution();
@@ -457,7 +476,7 @@ void Solver::offer_lp_point(WorkerState& ws, const std::vector<double>& x) {
 
 void Solver::try_rounding(WorkerState& ws, const Node& node,
                           const std::vector<double>& x,
-                          const lp::Basis* start) {
+                          const lp::Basis* start, bool root) {
   // Fix every integer variable to the nearest integer inside the node
   // bounds, then re-solve the LP for the continuous variables.  The
   // guard restores the node's bounds even when the solve throws.
@@ -470,7 +489,7 @@ void Solver::try_rounding(WorkerState& ws, const Node& node,
   }
   lp::Solution sol = solve_with_recovery(ws, start);
   ws.work.lp_iterations += sol.iterations;
-  if (sol.status == lp::SolveStatus::Optimal) offer_lp_point(ws, sol.x);
+  if (sol.status == lp::SolveStatus::Optimal) offer_lp_point(ws, sol.x, root);
 }
 
 void Solver::process_node(WorkerState& ws, Node& node,
@@ -533,14 +552,17 @@ void Solver::process_node(WorkerState& ws, Node& node,
     if (!b.empty()) basis = std::make_shared<const lp::Basis>(std::move(b));
   }
 
+  // Node 1 is the root, which worker 0 processes before any other
+  // worker starts (see run()).
+  const bool root = node_number == 1;
   const std::size_t k = pick_branch_var(sol.x);
   if (k == int_vars_.size()) {
-    offer_lp_point(ws, sol.x);
+    offer_lp_point(ws, sol.x, root);
     return;
   }
 
-  if (node_number == 1 || node_number % 64 == 0)
-    try_rounding(ws, node, sol.x, basis.get());
+  if (root || node_number % 64 == 0)
+    try_rounding(ws, node, sol.x, basis.get(), root);
 
   const double v = sol.x[int_vars_[k]];
   const double frac = v - std::floor(v);
@@ -580,7 +602,7 @@ void Solver::process_node(WorkerState& ws, Node& node,
   cv_.notify_all();
 }
 
-void Solver::worker(std::size_t w, WorkerState& ws) {
+void Solver::worker(std::size_t w, WorkerState& ws, bool one_node) {
   MutexLock lock(mtx_);
   for (;;) {
     while (!stop_ && frontier_empty_locked() && active_ != 0) cv_.wait(lock);
@@ -631,6 +653,7 @@ void Solver::worker(std::size_t w, WorkerState& ws) {
       return;
     }
     if (stop_ || (frontier_empty_locked() && active_ == 0)) cv_.notify_all();
+    if (one_node) return;
   }
 }
 
@@ -642,17 +665,18 @@ MipResult Solver::run() {
   if (jobs == 0)
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-  // Strengthen the shared relaxation with root cuts on worker 0's
-  // solver, before any other worker copies it; the final root basis and
+  // Strengthen the relaxation with root cuts on worker 0's solver,
+  // before any other worker's solver is built; the final root basis and
   // bound seed the root node, and worker 0 keeps the cut loop's factor.
   std::vector<WorkerState> states;
   states.reserve(jobs);
-  states.emplace_back(relaxation_);
+  states.emplace_back(model_.lp(), cuts_);
   std::shared_ptr<const lp::Basis> root_start;
   double root_bound = -kInf;
   if (opt_.root_cuts && opt_.cut_generator != nullptr && !int_vars_.empty())
     root_start = run_root_cuts(states[0], root_bound);
-  for (std::size_t w = 1; w < jobs; ++w) states.emplace_back(relaxation_);
+  for (std::size_t w = 1; w < jobs; ++w)
+    states.emplace_back(model_.lp(), cuts_);
 
   {
     // No worker is running yet, but the frontier fields carry a
@@ -672,6 +696,10 @@ MipResult Solver::run() {
     in_flight_.assign(jobs, kInf);
   }
 
+  // Worker 0 processes the root node on its own, before the other
+  // workers start: the root's solves then see the same factor history
+  // at every jobs count, and its points go to the incumbent as solved.
+  worker(0, states[0], /*one_node=*/true);
   if (jobs == 1) {
     worker(0, states[0]);
   } else {

@@ -52,8 +52,8 @@ using namespace rrp::core;
 
 /// The flat lowering makes 78 allocations here; the bound leaves 2x.
 constexpr std::size_t kLoweringBound = 156;
-/// A whole solve_drrp makes 221; the bound leaves 2x.
-constexpr std::size_t kSolveBound = 442;
+/// A whole solve_drrp makes 181; the bound leaves 2x.
+constexpr std::size_t kSolveBound = 362;
 
 DrrpInstance fig10_instance() {
   rrp::Rng rng(16);

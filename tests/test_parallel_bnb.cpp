@@ -5,6 +5,9 @@
 //     bound are *bit-identical* across any jobs count — parallel exploration may visit a different set of
 //     nodes, but every pruned subtree is dominated by the incumbent, so
 //     the returned optimum cannot depend on scheduling.
+//   * An incumbent found at the root is bit-identical across jobs
+//     counts, point included: worker 0 processes the root node before
+//     any other worker starts.
 //   * Warm starts change the pivot paths (hence the tree), never the
 //     answer: warm-on vs warm-off agree to LP tolerance.
 //   * Injected LP failures and fake-clock deadlines are absorbed under
@@ -13,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/deadline.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
+#include "core/demand.hpp"
+#include "core/drrp.hpp"
 #include "milp/branch_and_bound.hpp"
+#include "milp/cuts.hpp"
 
 namespace {
 
@@ -115,6 +122,73 @@ TEST(ParallelBnb, BitIdenticalObjectiveAcrossJobCounts) {
   // The suite must actually exercise multi-node parallel trees, not
   // just root solves.
   EXPECT_GT(parallel_multinode, 10u);
+}
+
+/// Solves `model` 50 times at each of jobs 1, 2, 4 and 8 and expects
+/// every answer to be `serial`'s bit for bit, point included, with
+/// `serial`'s refactorisation count: the extra workers solve nothing,
+/// and the root ran on worker 0.
+void expect_root_answer_repeats(const Model& model, BnbOptions opt,
+                                const MipResult& serial) {
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    for (const std::size_t jobs : {1u, 2u, 4u, 8u}) {
+      opt.jobs = jobs;
+      const MipResult r = solve(model, opt);
+      ASSERT_EQ(r.status, MipStatus::Optimal) << "jobs " << jobs;
+      EXPECT_EQ(r.objective, serial.objective) << "jobs " << jobs;
+      ASSERT_EQ(r.x.size(), serial.x.size());
+      for (std::size_t j = 0; j < r.x.size(); ++j)
+        ASSERT_EQ(r.x[j], serial.x[j]) << "jobs " << jobs << " x[" << j << "]";
+      ASSERT_EQ(r.work.factor.refactorizations,
+                serial.work.factor.refactorizations)
+          << "jobs " << jobs;
+    }
+  }
+}
+
+TEST(ParallelBnb, RootIncumbentIsBitIdenticalAcrossJobCounts) {
+  // Root incumbents are offered as solved (not re-derived from a fresh
+  // factorisation), which is deterministic only because the root runs
+  // on worker 0 with the same factor history at every jobs count.
+  rrp::Rng rng(27);
+  // Facility-location DRRP: its root relaxation is integral, so the
+  // incumbent is the root LP point.
+  for (int instance = 0; instance < 4; ++instance) {
+    SCOPED_TRACE("facility location " + std::to_string(instance));
+    rrp::core::DrrpInstance inst;
+    inst.demand =
+        rrp::core::generate_demand(16, rrp::core::DemandConfig{}, rng);
+    for (std::size_t t = 0; t < 16; ++t)
+      inst.compute_price.push_back(rng.uniform(0.2, 0.6));
+    rrp::core::DrrpFlVariables vars;
+    const Model model = rrp::core::build_drrp_facility_location(inst, &vars);
+    BnbOptions opt;
+    const MipResult serial = solve(model, opt);
+    ASSERT_EQ(serial.status, MipStatus::Optimal);
+    ASSERT_EQ(serial.work.nodes_explored, 1u);
+    expect_root_answer_repeats(model, opt, serial);
+  }
+  // Lot sizing closed at the root by (l,S) cuts: worker 0 enters the
+  // root node with the cut loop's factor, which a fresh worker lacks.
+  std::size_t closed = 0;
+  for (int instance = 0; instance < 12; ++instance) {
+    LotSizing inst(rng, 6, 6);
+    rrp::milp::LotSizingCutGenerator cuts;
+    std::vector<rrp::milp::LotSlot> slots;
+    for (std::size_t t = 0; t < inst.demand.size(); ++t)
+      slots.push_back({inst.alpha[t].id, inst.y[t].id, inst.demand[t]});
+    cuts.add_chain(std::move(slots));
+    BnbOptions opt = exact_options();
+    opt.cut_generator = &cuts;
+    const MipResult serial = solve(inst.model, opt);
+    ASSERT_EQ(serial.status, MipStatus::Optimal);
+    if (serial.work.nodes_explored != 1 || serial.work.cuts_added == 0)
+      continue;
+    ++closed;
+    SCOPED_TRACE("lot sizing " + std::to_string(instance));
+    expect_root_answer_repeats(inst.model, opt, serial);
+  }
+  EXPECT_GE(closed, 3u);
 }
 
 TEST(ParallelBnb, WarmStartsMatchColdSolvesAndAreCounted) {

@@ -325,11 +325,15 @@ TEST(SparseLu, EmptyBasisIsTrivial) {
 }
 
 // The left-looking factorisation as it was before it learnt to visit
-// only the steps a column reaches: every earlier step s < k is checked
-// for each column k.  Its solves are the dense passes over all m steps
-// and the eta file, its update() the dense scan of w, both as they were
-// before the solves learnt to walk nonzero lists.  Kept frozen as the
-// reference SparseLu must match bit for bit.
+// only the steps a column reaches, to order the columns by a counting
+// sort and to assign singleton steps directly: the columns are ordered
+// by std::stable_sort, every column goes through the elimination, and
+// every earlier step s < k is checked for each column k.  Its solves
+// are the dense passes over all m steps and the eta file, its update()
+// the dense scan of w, both as they were before the solves learnt to
+// walk nonzero lists.  Kept frozen as the reference SparseLu must match
+// bit for bit; a singular basis throws, naming the step as SparseLu
+// does.
 class DenseStepScanLu {
  public:
   void factorize(std::size_t m, const std::vector<std::vector<Entry>>& cols,
@@ -376,7 +380,9 @@ class DenseStepScanLu {
         if (step_of_row_[r] != m) continue;
         vmax = std::max(vmax, std::fabs(work_[r]));
       }
-      ASSERT_GE(vmax, 1e-12) << "reference: singular at step " << k;
+      if (vmax < 1e-12)
+        throw rrp::NumericalError("reference: singular basis at step " +
+                                  std::to_string(k));
       const double eligible = 0.1 * vmax;
       std::size_t prow = m;
       for (std::size_t r : touched) {
@@ -624,8 +630,8 @@ System random_staircase(std::size_t m, double slack_share, rrp::Rng& rng) {
 
 /// Solves one right-hand side through `lu` (entering with `nz`) and
 /// through the frozen dense passes; returns the first difference in the
-/// values or a nonzero list that is not ascending, duplicate free and
-/// covering, or "" when they agree.
+/// values or a nonzero list that is not the ascending list of the dense
+/// result's nonzeros, or "" when they agree.
 std::string compare_solve(const SparseLu& lu, DenseStepScanLu& ref,
                           const std::vector<double>& rhs,
                           std::vector<std::size_t> nz, bool transpose) {
@@ -654,6 +660,9 @@ std::string compare_solve(const SparseLu& lu, DenseStepScanLu& ref,
     if (x[i] != 0.0 && listed[i] == 0)
       return std::string(what) + ": nonzero entry " + std::to_string(i) +
              " not listed";
+    if (listed[i] != 0 && x_ref[i] == 0.0)
+      return std::string(what) + ": entry " + std::to_string(i) +
+             " listed, but the dense passes leave it zero";
   }
   return "";
 }
@@ -740,6 +749,111 @@ TEST(SparseLu, SolvesMatchTheFrozenDensePasses) {
       ASSERT_EQ(compare_solves(lu, ref, sys.m, rng), "") << "both etas";
     }
   }
+}
+
+/// Factorises `sys` with `lu` and with the frozen reference; returns
+/// the first difference in where a singular basis is reported, in
+/// factor_nonzeros() or in the solves' values and nonzero lists, or ""
+/// when there is none.
+std::string compare_factor(SparseLu& lu, const System& sys, rrp::Rng& rng) {
+  const auto step = [](const rrp::NumericalError& e) {
+    const std::string what = e.what();
+    return what.substr(what.rfind(' ') + 1);
+  };
+  std::string singular;
+  std::string ref_singular;
+  try {
+    lu.factorize(sys.m, Csc(sys.cols), sys.basis);
+  } catch (const rrp::NumericalError& e) {
+    singular = step(e);
+  }
+  DenseStepScanLu ref;
+  try {
+    ref.factorize(sys.m, sys.cols, sys.basis);
+  } catch (const rrp::NumericalError& e) {
+    ref_singular = step(e);
+  }
+  if (singular != ref_singular)
+    return "singular at step '" + singular + "', the reference at '" +
+           ref_singular + "'";
+  if (!singular.empty()) return "";
+  if (lu.factor_nonzeros() != ref.factor_nonzeros())
+    return "factor_nonzeros " + std::to_string(lu.factor_nonzeros()) +
+           ", the reference's " + std::to_string(ref.factor_nonzeros());
+  return compare_solves(lu, ref, sys.m, rng);
+}
+
+/// `sys` with column `j` cut down to one entry on the row of its first
+/// entry: a slack (-1) or a structural singleton.
+void make_singleton(System& sys, std::size_t j, bool slack, rrp::Rng& rng) {
+  const std::size_t row = sys.cols[j].front().col;
+  sys.cols[j] = {Entry{row, slack ? -1.0 : rng.uniform(0.5, 3.0)}};
+}
+
+TEST(SparseLu, CountingSortAndSingletonStepsKeepTheFactor) {
+  rrp::Rng rng(20261020);
+  struct Case {
+    std::string name;
+    System sys;
+    bool singular = false;
+  };
+  std::vector<Case> cases;
+  for (std::size_t m : {1u, 7u, 64u, 130u})
+    cases.push_back({"slack basis, m " + std::to_string(m), slack_system(m)});
+  // Singleton and structural columns mixed, with ties in column count
+  // among both, so the order within a count decides the pivots.
+  for (std::size_t m : {12u, 40u, 90u}) {
+    for (double share : {0.25, 0.5, 0.75}) {
+      for (std::size_t extra : {1u, 2u}) {
+        System sys = tangled_system(m, extra, rng);
+        for (std::size_t j = 0; j < m; ++j)
+          if (rng.uniform(0.0, 1.0) < share)
+            make_singleton(sys, j, rng.uniform(0.0, 1.0) < 0.5, rng);
+        cases.push_back({"mixed, m " + std::to_string(m) + ", share " +
+                             std::to_string(share) + ", extra " +
+                             std::to_string(extra),
+                         std::move(sys)});
+      }
+    }
+    cases.push_back(
+        {"staircase, m " + std::to_string(m), random_staircase(m, 0.5, rng)});
+  }
+  // Under the ascending-count order every step before a singleton is a
+  // singleton, so a singleton whose row an earlier step pivoted leaves
+  // the basis singular: it goes through the elimination, and both
+  // factorisations must report the same step.
+  {
+    System sys = tangled_system(20, 2, rng);
+    for (std::size_t j = 0; j < 20; j += 3) make_singleton(sys, j, true, rng);
+    sys.cols[13] = {Entry{sys.cols[3].front().col, 2.5}};
+    cases.push_back({"structural singleton on a pivoted row", sys, true});
+  }
+  {
+    System sys = tangled_system(16, 2, rng);
+    for (std::size_t j = 1; j < 16; j += 2) make_singleton(sys, j, true, rng);
+    sys.cols[13] = sys.cols[5];
+    cases.push_back({"two slack singletons on one row", sys, true});
+  }
+  {
+    System sys = slack_system(9);
+    sys.cols[4] = {Entry{4, 1e-13}};  // below the pivot tolerance
+    cases.push_back({"singleton too small to pivot on", sys, true});
+  }
+
+  // One object refactorises every basis in turn, singular ones among
+  // them, so the scratch it keeps across calls must leave no trace.
+  SparseLu lu;
+  std::size_t singular_draws = 0;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    EXPECT_EQ(compare_factor(lu, c.sys, rng), "");
+    if (c.singular)
+      EXPECT_FALSE(lu.factorized());
+    else if (!lu.factorized())
+      ++singular_draws;
+  }
+  // A random draw may be singular too, but most must factorise.
+  EXPECT_LE(singular_draws, 4u);
 }
 
 TEST(SparseLu, EtaNonzeroAccountingTracksUpdates) {
