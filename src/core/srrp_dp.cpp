@@ -1,7 +1,9 @@
 #include "core/srrp_dp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -44,29 +46,32 @@ class TreeDp {
       vc.rent = p * vert.price;
     }
 
-    // Pre-order layout: vertex u's subtree is order_[begin_[u], +size_[u]),
-    // u first, then each child's subtree in child order.  As parents
-    // precede their children, sizes accumulate bottom-up and positions
-    // are handed out top-down.
-    size_.assign(V_, 1);
-    for (std::size_t u = V_; u-- > 1;)
-      size_[tree_.vertex(u).parent] += size_[u];
-    begin_.assign(V_, 0);
-    order_.assign(V_, tree_.root());
-    cache_begin_.assign(V_, 0);
+    // Candidate lists (see the header), bottom-up: children follow their
+    // parent.  A vertex is listed at most once per ancestor, so the lists
+    // hold at most V*T entries and the reserve below is never exceeded.
+    cand_.assign(V_, Candidates{});
+    cand_cum_.reserve(V_ * tree_.num_stages());
     std::size_t cache_size = 0;
-    for (std::size_t u = 0; u < V_; ++u) {
-      order_[begin_[u]] = u;
-      std::size_t next = begin_[u] + 1;
+    for (std::size_t u = V_; u-- > 1;) {
+      Candidates& cu = cand_[u];
+      cu.begin = cand_cum_.size();
+      cand_cum_.push_back(vertex_[u].cum);
       const auto children = tree_.children(u);
       for (std::size_t c : children) {
-        begin_[c] = next;
-        next += size_[c];
+        const Candidates& cc = cand_[c];
+        for (std::size_t j = cc.begin; j < cc.begin + cc.count; ++j) {
+          const auto bits = std::bit_cast<std::uint64_t>(cand_cum_[j]);
+          const bool listed = std::any_of(
+              cand_cum_.begin() + static_cast<std::ptrdiff_t>(cu.begin),
+              cand_cum_.end(), [bits](double cum) {
+                return std::bit_cast<std::uint64_t>(cum) == bits;
+              });
+          if (!listed) cand_cum_.push_back(cand_cum_[j]);
+        }
       }
-      if (u != tree_.root()) {
-        cache_begin_[u] = cache_size;
-        cache_size += size_[u] * children.size();
-      }
+      cu.count = cand_cum_.size() - cu.begin;
+      cu.cache = cache_size;
+      cache_size += cu.count * children.size();
     }
     child_value_.assign(cache_size, std::numeric_limits<double>::quiet_NaN());
     head_.assign(V_, kNoSlot);
@@ -80,13 +85,17 @@ class TreeDp {
     policy.beta.assign(V_, 0.0);
     policy.chi.assign(V_, 0);
 
+    const std::int64_t key = key_of(initial_storage_);
     double total = 0.0;
     for (std::size_t c : tree_.children(tree_.root()))
-      total += value(c, initial_storage_);
+      total += value(c, initial_storage_, key);
     policy.expected_cost = total;
 
     for (std::size_t c : tree_.children(tree_.root()))
-      extract(c, initial_storage_, policy);
+      extract(c, initial_storage_, key, policy);
+    // Tallied locally, published once per solve.
+    RRP_COUNTER_ADD("rrp.dp.tree_states", states_);
+    RRP_COUNTER_ADD("rrp.dp.tree_candidates", candidates_);
     return policy;
   }
 
@@ -131,9 +140,17 @@ class TreeDp {
     return nullptr;
   }
 
-  /// Cost of serving vertex u's subtree given entering inventory x.
-  double value(std::size_t u, double x) {
-    const std::int64_t key = key_of(x);
+  /// Production candidates of one vertex: root-path demands
+  /// cand_cum_[begin, +count), and its block of child_value_.
+  struct Candidates {
+    std::size_t begin = 0;
+    std::size_t count = 0;
+    std::size_t cache = 0;
+  };
+
+  /// Cost of serving vertex u's subtree given entering inventory x, whose
+  /// memo key is `key`.
+  double value(std::size_t u, double x, std::int64_t key) {
     if (const Entry* hit = find(u, key)) return hit->value;
 
     // One poll per uncached state, the unit of real DP work (cache hits
@@ -143,41 +160,49 @@ class TreeDp {
           "solve_srrp_tree_dp: deadline expired while evaluating vertex " +
           std::to_string(u));
     }
+    ++states_;
 
     const VertexCosts& vc = vertex_[u];
     const double d = vc.demand;
     const auto children = tree_.children(u);
+    const std::size_t width = children.size();
 
     Entry best;
     // Option 1: no production; feasible when inventory covers demand.
     if (x + kEps >= d) {
       const double out = std::max(x - d, 0.0);
       double cost = vc.delivery + vc.hold_price * out;
-      for (std::size_t c : children) cost += value(c, out);
+      if (width > 0) {
+        const std::int64_t out_key = key_of(out);
+        for (std::size_t c : children) cost += value(c, out, out_key);
+      }
       if (cost < best.value) {
         best.value = cost;
         best.produce = false;
         best.level = out;
       }
     }
-    // Option 2: produce up to an exact path-demand level D(u..w).  The
-    // outgoing inventory depends on w alone, so each child's value at it
-    // is looked up once and read from the cache by later states.
-    const std::size_t first = begin_[u];
-    const std::size_t width = children.size();
-    for (std::size_t j = 0; j < size_[u]; ++j) {
-      const std::size_t w = order_[first + j];
-      const double level = vertex_[w].cum - (vc.cum - d);  // D(path u..w)
+    // Option 2: produce up to an exact path-demand level D(u..w), one
+    // candidate per distinct level.  The outgoing inventory depends on w
+    // alone, so the children's values at it are computed by the first
+    // state that reaches the candidate and read from the cache by later
+    // ones.
+    const Candidates& cand = cand_[u];
+    const double base = vc.cum - d;  // D(path to parent(u))
+    for (std::size_t j = 0; j < cand.count; ++j) {
+      const double level = cand_cum_[cand.begin + j] - base;  // D(u..w)
       if (level <= x + kEps) continue;  // nothing to produce
+      ++candidates_;
       const double out = level - d;
       double cost = vc.delivery + vc.rent + vc.gen_unit * (level - x) +
                     vc.hold_price * out;
-      const std::size_t cached = cache_begin_[u] + j * width;
-      for (std::size_t k = 0; k < width; ++k) {
-        double& child = child_value_[cached + k];
-        if (std::isnan(child)) child = value(children[k], out);
-        cost += child;
+      double* child = child_value_.data() + cand.cache + j * width;
+      if (width > 0 && std::isnan(child[0])) {
+        const std::int64_t out_key = key_of(out);
+        for (std::size_t k = 0; k < width; ++k)
+          child[k] = value(children[k], out, out_key);
       }
+      for (std::size_t k = 0; k < width; ++k) cost += child[k];
       if (cost < best.value) {
         best.value = cost;
         best.produce = true;
@@ -192,8 +217,9 @@ class TreeDp {
     return best.value;
   }
 
-  void extract(std::size_t u, double x, SrrpPolicy& policy) const {
-    const Entry* e = find(u, key_of(x));
+  void extract(std::size_t u, double x, std::int64_t key,
+               SrrpPolicy& policy) const {
+    const Entry* e = find(u, key);
     RRP_ENSURES(e != nullptr);
     const double d = vertex_[u].demand;
     double out;
@@ -206,7 +232,10 @@ class TreeDp {
       out = std::max(x - d, 0.0);
     }
     policy.beta[u] = out;
-    for (std::size_t c : tree_.children(u)) extract(c, out, policy);
+    const auto children = tree_.children(u);
+    if (children.empty()) return;
+    const std::int64_t out_key = key_of(out);
+    for (std::size_t c : children) extract(c, out, out_key, policy);
   }
 
   const common::Deadline& deadline_;
@@ -214,15 +243,15 @@ class TreeDp {
   std::size_t V_;
   double initial_storage_;
   std::vector<VertexCosts> vertex_;
-  std::vector<std::size_t> order_;        ///< vertices in pre-order
-  std::vector<std::size_t> begin_;        ///< position of u in order_
-  std::vector<std::size_t> size_;         ///< vertices in u's subtree
-  std::vector<std::size_t> cache_begin_;  ///< u's block of child_value_
-  /// value(child k, out of candidate j) at cache_begin_[u] + j*width + k;
+  std::vector<Candidates> cand_;  ///< per vertex; the root's is unused
+  std::vector<double> cand_cum_;  ///< every vertex's candidate list
+  /// value(child k, out of candidate j) at cand_[u].cache + j*width + k;
   /// NaN until first used (value() never returns NaN).
   std::vector<double> child_value_;
   std::vector<std::uint32_t> head_;  ///< newest memo slot of u, or kNoSlot
   std::vector<Slot> pool_;           ///< every vertex's memoised states
+  std::uint64_t states_ = 0;         ///< uncached states (deadline polls)
+  std::uint64_t candidates_ = 0;     ///< production levels evaluated
 };
 
 }  // namespace

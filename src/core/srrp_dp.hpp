@@ -9,19 +9,30 @@
 // path v..w.  Consequently the inventory entering any vertex v takes a
 // value from the O(|V|) candidate set { D(path to w) - D(path to
 // parent(v)) } plus the initial-storage offset, and a memoised DP over
-// (vertex, entering inventory) solves SRRP exactly in roughly
-// O(|V|^3) time — microseconds at the paper's tree sizes, versus
-// seconds-to-hours for branch & bound on the deterministic equivalent.
+// (vertex, entering inventory) solves SRRP exactly.
+//
+// Cost.  Descendants with the same root-path demand give the same
+// level, so each vertex keeps one production candidate per distinct
+// D(path to w): at most its subtree size, and at most one per
+// remaining stage when demand is per stage (SrrpInstance::demand, no
+// vertex_demand).  Every uncached state scans its vertex's candidates
+// once; a candidate's child values are computed once per vertex, not
+// once per state.  A replan tree of ~95 vertices has ~345 states and
+// ~2.9 candidates per vertex: microseconds, versus seconds-to-hours
+// for branch & bound on the deterministic equivalent.
 //
 // Requires an uncapacitated instance (like Wagner-Whitin for DRRP).
 //
 // Memo layout.  A state is keyed by x * 1e9 rounded half away from zero
 // (std::llround's rule, detail::round_half_away below) of its entering
 // inventory x; the first x that misses a key computes the entry, and
-// later inventories rounding to that key read it.  Storage is flat and
+// later inventories rounding to that key read it.  Each key is computed
+// once per request and passed to every child.  Storage is flat and
 // local to one solve:
-//   * the vertices in one pre-order array, so the production candidates
-//     of u (its subtree) are the contiguous range [begin(u), +size(u));
+//   * per vertex u, a candidate list of root-path demands, built
+//     bottom-up: u's own, then each child's list in child order, less
+//     any value bit-equal to one already listed, so the list holds the
+//     first vertex of each distinct level in u's pre-order;
 //   * every memoised state in one pool of (key, entry, next) slots,
 //     chained per vertex;
 //   * a per-(vertex, candidate, child) cache of the child's value at the
@@ -30,14 +41,21 @@
 //   * per-vertex demand, root-path demand and probability-weighted unit
 //     prices.
 // Nothing is static or thread_local, so concurrent solves share nothing.
+// Each completed solve adds its uncached states (= deadline polls) to
+// the counter rrp.dp.tree_states and its evaluated production levels
+// (candidates above the entering inventory) to rrp.dp.tree_candidates.
 //
 // Bit-identity contract.  The recursion, its DFS evaluation order, the
 // strict-< tie-break (the first candidate in pre-order wins a tie), the
 // summation order of every cost and the deadline polls (once per
 // uncached state) are those of the hash-map DP this replaced, so
 // policies, expected cost and the representative x of each rounded key
-// are bit-identical to it.  tests/test_srrp_dp.cpp keeps that DP as a
-// frozen reference and compares the two bit for bit.
+// are bit-identical to it.  Dropping a repeated level changes none of
+// them: a bit-equal level gives a bit-equal outgoing inventory and
+// cost, it never wins the strict-< scan against its first occurrence,
+// and its child look-ups could only hit states that the first
+// occurrence created.  tests/test_srrp_dp.cpp keeps the hash-map DP as
+// a frozen reference and compares the two bit for bit.
 #pragma once
 
 #include <cstdint>

@@ -665,9 +665,9 @@ MipResult Solver::run() {
   if (jobs == 0)
     jobs = std::max<std::size_t>(1, std::thread::hardware_concurrency());
 
-  // Strengthen the relaxation with root cuts on worker 0's solver,
-  // before any other worker's solver is built; the final root basis and
-  // bound seed the root node, and worker 0 keeps the cut loop's factor.
+  // Strengthen the relaxation with root cuts on worker 0's solver; the
+  // final root basis and bound seed the root node, and worker 0 keeps
+  // the cut loop's factor.
   std::vector<WorkerState> states;
   states.reserve(jobs);
   states.emplace_back(model_.lp(), cuts_);
@@ -675,8 +675,6 @@ MipResult Solver::run() {
   double root_bound = -kInf;
   if (opt_.root_cuts && opt_.cut_generator != nullptr && !int_vars_.empty())
     root_start = run_root_cuts(states[0], root_bound);
-  for (std::size_t w = 1; w < jobs; ++w)
-    states.emplace_back(model_.lp(), cuts_);
 
   {
     // No worker is running yet, but the frontier fields carry a
@@ -697,12 +695,21 @@ MipResult Solver::run() {
   }
 
   // Worker 0 processes the root node on its own, before the other
-  // workers start: the root's solves then see the same factor history
+  // workers exist: the root's solves then see the same factor history
   // at every jobs count, and its points go to the incumbent as solved.
+  // The other workers' solvers are built, and their tasks started, only
+  // when the root leaves nodes to search.
   worker(0, states[0], /*one_node=*/true);
-  if (jobs == 1) {
+  bool open_nodes = false;
+  {
+    MutexLock lock(mtx_);
+    open_nodes = !stop_ && !frontier_empty_locked();
+  }
+  if (jobs == 1 || !open_nodes) {
     worker(0, states[0]);
   } else {
+    for (std::size_t w = 1; w < jobs; ++w)
+      states.emplace_back(model_.lp(), cuts_);
     TaskGroup group(global_pool());
     for (std::size_t w = 1; w < jobs; ++w)
       group.run([this, w, &states] { worker(w, states[w]); });

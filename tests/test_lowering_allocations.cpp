@@ -7,7 +7,9 @@
 // temporaries or formatted names shows up as hundreds of allocations.
 // The nested lowering these replaced made 1,795 allocations on this
 // instance (builder, LP copy and solver constructor), and 1,926 for a
-// whole solve_drrp.
+// whole solve_drrp.  A one-node solve must allocate as much at jobs 8
+// as at jobs 1: the extra workers are only built when the root leaves
+// nodes to search.
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
@@ -113,6 +115,32 @@ TEST(LoweringAllocations, WholeDrrpSolveStaysBounded) {
   ASSERT_EQ(plan.status, rrp::milp::MipStatus::Optimal);
   EXPECT_LE(n, kSolveBound) << "allocations of one solve_drrp";
   std::printf("solve_drrp allocations: %zu (bound %zu)\n", n, kSolveBound);
+#endif
+}
+
+TEST(LoweringAllocations, RootClosedSolveAllocatesAsAtOneJob) {
+#if RRP_INVARIANTS_ENABLED
+  GTEST_SKIP() << "invariant checks allocate";
+#else
+  // The root node closes this B&B, so the extra workers of jobs=8 have
+  // nothing to search: neither their solvers nor their pool tasks may
+  // cost an allocation.
+  const DrrpInstance inst = fig10_instance();
+  std::size_t counts[2] = {0, 0};
+  const std::size_t jobs[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    rrp::milp::BnbOptions opt;
+    opt.jobs = jobs[i];
+    (void)solve_drrp(inst, opt);  // first-use statics, pool threads
+    RentalPlan plan;
+    counts[i] = allocations([&] { plan = solve_drrp(inst, opt); });
+    ASSERT_EQ(plan.status, rrp::milp::MipStatus::Optimal);
+    ASSERT_EQ(plan.work.nodes_explored, 1u);
+  }
+  EXPECT_EQ(counts[1], counts[0]);
+  std::printf("root-closed solve_drrp allocations: %zu at jobs 1, %zu at "
+              "jobs 8\n",
+              counts[0], counts[1]);
 #endif
 }
 

@@ -25,6 +25,7 @@
 #include "core/wagner_whitin.hpp"
 #include "market/instance_types.hpp"
 #include "market/trace_generator.hpp"
+#include "obs/registry.hpp"
 
 namespace {
 
@@ -429,6 +430,10 @@ struct SweepCase {
   /// Free holding and generation: every level covering a subtree costs
   /// the same, so the strict-< tie-break decides the plan.
   bool free_storage = false;
+  /// Per-vertex demands drawn from {0, a, b}: equal root-path demands
+  /// between non-siblings (a then 0, 0 then a) and within part of a
+  /// sibling set, which the DP lists as one production candidate.
+  bool demand_set = false;
 };
 
 SrrpInstance sweep_instance(const SweepCase& sc, std::uint64_t seed) {
@@ -502,6 +507,15 @@ SrrpInstance sweep_instance(const SweepCase& sc, std::uint64_t seed) {
       break;
     }
   }
+  if (sc.demand_set) {
+    const std::vector<double> ab = generate_demand(2, DemandConfig{}, rng);
+    const double set[] = {0.0, ab[0], ab[1]};
+    inst.vertex_demand.assign(inst.tree.num_vertices(), 0.0);
+    for (std::size_t v = 1; v < inst.vertex_demand.size(); ++v)
+      inst.vertex_demand[v] =
+          set[std::min<std::size_t>(2, static_cast<std::size_t>(
+                                           rng.uniform(0.0, 3.0)))];
+  }
   double max_path_demand = 0.0;
   for (std::size_t leaf : inst.tree.leaves()) {
     double path = 0.0;
@@ -542,6 +556,17 @@ std::vector<SweepCase> sweep_cases() {
       }
     }
   }
+  // Appended, so the cases above keep their indices and seeds.
+  for (TreeKind kind : {TreeKind::Unconditional, TreeKind::Conditional,
+                        TreeKind::Markov, TreeKind::Joint}) {
+    for (const auto& widths : shapes) {
+      for (int storage = 0; storage < 3; ++storage) {
+        for (bool free_storage : {false, true})
+          cases.push_back(SweepCase{kind, widths, false, false, storage,
+                                    free_storage, /*demand_set=*/true});
+      }
+    }
+  }
   return cases;
 }
 
@@ -552,12 +577,46 @@ std::string describe(const SweepCase& sc, std::uint64_t seed) {
        " zero=" + std::to_string(sc.zero_stages) +
        " storage=" + std::to_string(sc.storage) +
        " free=" + std::to_string(sc.free_storage) +
+       " set=" + std::to_string(sc.demand_set) +
        " seed=" + std::to_string(seed);
   return s;
 }
 
+/// Pairs of vertices under one stage-1 vertex whose root-path demands
+/// are bit-equal, so that some vertex lists them as one production
+/// level; split by whether the two are siblings.
+struct EqualLevels {
+  std::size_t siblings = 0;
+  std::size_t others = 0;
+};
+
+EqualLevels equal_levels(const SrrpInstance& inst) {
+  const ScenarioTree& tree = inst.tree;
+  const std::size_t V = tree.num_vertices();
+  std::vector<double> cum(V, 0.0);
+  std::vector<std::size_t> top(V, 0);
+  for (std::size_t v = 1; v < V; ++v) {
+    const std::size_t parent = tree.vertex(v).parent;
+    cum[v] = (parent == tree.root() ? 0.0 : cum[parent]) +
+             inst.demand_at_vertex(v);
+    top[v] = parent == tree.root() ? v : top[parent];
+  }
+  EqualLevels eq;
+  for (std::size_t a = 1; a < V; ++a) {
+    for (std::size_t b = a + 1; b < V; ++b) {
+      if (top[a] != top[b] || bits(cum[a]) != bits(cum[b])) continue;
+      if (tree.vertex(a).parent == tree.vertex(b).parent)
+        ++eq.siblings;
+      else
+        ++eq.others;
+    }
+  }
+  return eq;
+}
+
 TEST(TreeDpDifferential, BitIdenticalToHashMapDpOverSeededSweep) {
   std::size_t solves = 0, inexact_hits = 0, produce_free = 0;
+  EqualLevels set_levels;
   const auto cases = sweep_cases();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     for (std::uint64_t rep = 0; rep < 2; ++rep) {
@@ -572,17 +631,27 @@ TEST(TreeDpDifferential, BitIdenticalToHashMapDpOverSeededSweep) {
       if (std::none_of(got.chi.begin(), got.chi.end(),
                        [](char c) { return c != 0; }))
         ++produce_free;
+      if (cases[i].demand_set) {
+        const EqualLevels eq = equal_levels(inst);
+        set_levels.siblings += eq.siblings;
+        set_levels.others += eq.others;
+      }
       ++solves;
     }
   }
   // The sweep must exercise what the memo layout could get wrong:
-  // inventories that share a key without being bit-equal, and storage
-  // covering every path.
+  // inventories that share a key without being bit-equal, storage
+  // covering every path, and repeated production levels, both between
+  // siblings and between other vertices of one subtree.
   EXPECT_GT(inexact_hits, 0u);
   EXPECT_GT(produce_free, 0u);
+  EXPECT_GT(set_levels.siblings, 0u);
+  EXPECT_GT(set_levels.others, 0u);
   std::printf("differential sweep: %zu solves, %zu inexact memo hits, "
-              "%zu plans without production\n",
-              solves, inexact_hits, produce_free);
+              "%zu plans without production, %zu + %zu equal sibling + "
+              "other levels in the demand-set cases\n",
+              solves, inexact_hits, produce_free, set_levels.siblings,
+              set_levels.others);
 }
 
 TEST(TreeDpDeadline, PollsOncePerUncachedStateLikeTheReference) {
@@ -630,6 +699,34 @@ TEST(TreeDpDeadline, MidSolveExpiryThrowsAtTheReferencePoll) {
   }
   EXPECT_EQ(reads_at_throw[1], reads_at_throw[0]);
   EXPECT_LT(reads_at_throw[1], stats.states);
+}
+
+TEST(TreeDpWork, CountersPinStatesAndCandidates) {
+  // Stage demand on a {2,2,2,1,1} tree: every vertex lists at most one
+  // production level per remaining stage.
+  constexpr std::size_t kPinnedStates = 94;
+  constexpr std::size_t kPinnedCandidates = 128;
+  const SrrpInstance inst = sweep_instance(
+      SweepCase{TreeKind::Unconditional, {2, 2, 2, 1, 1}, false, false, 1},
+      7500);
+  frozen::Stats stats;
+  const SrrpPolicy want =
+      frozen::solve(inst, rrp::common::Deadline::unlimited(), &stats);
+  const auto& registry = rrp::obs::global_registry();
+  const rrp::obs::MetricsSnapshot before = registry.scrape();
+  const SrrpPolicy got = solve_srrp_tree_dp(inst);
+  const rrp::obs::MetricsSnapshot after = registry.scrape();
+  const auto delta = [&](const char* name) {
+    return static_cast<std::size_t>(after.counter(name) -
+                                    before.counter(name));
+  };
+  expect_bit_identical(got, want, "counter instance");
+  EXPECT_EQ(delta("rrp.dp.tree_states"), stats.states);
+  EXPECT_EQ(delta("rrp.dp.tree_states"), kPinnedStates);
+  EXPECT_EQ(delta("rrp.dp.tree_candidates"), kPinnedCandidates);
+  std::printf("tree DP work: %zu vertices, %zu states, %zu candidates\n",
+              inst.tree.num_vertices(), delta("rrp.dp.tree_states"),
+              delta("rrp.dp.tree_candidates"));
 }
 
 TEST(TreeDpMemoKey, RoundHalfAwayMatchesLlround) {
